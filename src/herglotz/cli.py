@@ -13,7 +13,7 @@ import numpy as np
 from . import fileio, harmonics, specfun
 from .extract import extract_magnitude_data, radial_grid
 from .field import (
-    HerglotzField,
+    comparison_tol,
     degree_power,
     equal_magnitude,
     magnitude_coeffs,
@@ -21,7 +21,7 @@ from .field import (
     sample_magnitude,
     trivially_equivalent,
 )
-from .fileio import FileFormatError
+from .fileio import FileFormatError, _fmt
 from .harmonics import BasisSpec
 from .retrieve import (
     BranchNotApplicableError,
@@ -46,27 +46,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
-def _make_basis(kind: str, dim: int) -> BasisSpec:
-    if kind == "fourier2d":
-        return BasisSpec(harmonics.FOURIER2D, dim)
-    if kind == "zonal":
-        return BasisSpec(harmonics.ZONAL, dim)
-    if kind == "palpha":
-        return BasisSpec(harmonics.PALPHA, dim)
-    raise ValueError(f"unknown basis {kind!r}")
-
-
 def _default_basis_kind(dim: int) -> str:
     return "fourier2d" if dim == 2 else "zonal"
 
 
 def cmd_gen(args) -> int:
     kind = args.basis or _default_basis_kind(args.dim)
-    basis = _make_basis(kind, args.dim)
+    basis = BasisSpec(kind, args.dim)
     u = random_field(
         args.dim,
         args.max_degree,
@@ -101,7 +87,7 @@ def cmd_extract(args) -> int:
     data, reports = extract_magnitude_data(grid, grid.dim, args.max_degree)
     basis = None
     if grid.dim >= 3:
-        basis = _make_basis(args.basis or _default_basis_kind(grid.dim), grid.dim)
+        basis = BasisSpec(args.basis or _default_basis_kind(grid.dim), grid.dim)
     fileio.write_data(args.out, data, basis)
     worst = max((rep.residual for rep in reports), default=0.0)
     cond = max((rep.condition for rep in reports), default=1.0)
@@ -136,14 +122,14 @@ def cmd_retrieve(args) -> int:
     data, file_basis = _load_data_or_grid(args.data, args.max_degree)
     basis = file_basis
     if basis is None and data.dim >= 3:
-        basis = _make_basis(args.basis or _default_basis_kind(data.dim), data.dim)
+        basis = BasisSpec(args.basis or _default_basis_kind(data.dim), data.dim)
     branch = args.branch
     if data.dim == 2:
         if branch == "sparse":
             print("error: the sparse branch applies to d >= 3 data", file=sys.stderr)
             return EXIT_BRANCH
         if branch == "mean":
-            s0 = float(np.real(data.pair_fourier(0, 0).get(0, 0.0)))
+            s0 = data.fourier_coeff(0, 0, 0).real
             if s0 <= 1e-10:
                 print("error: mean branch requested but the data has vanishing mean",
                       file=sys.stderr)
@@ -212,7 +198,7 @@ def cmd_verify(args) -> int:
         print("error: dimension mismatch", file=sys.stderr)
         return EXIT_USAGE
     eq = equal_magnitude(u, v)
-    te = trivially_equivalent(u, v)
+    te = trivially_equivalent(u, v, tol=comparison_tol(u.dim))
     print(f"equal_magnitude={str(eq).lower()}")
     print(f"equivalence={te.verdict}")
     if te.c is not None:

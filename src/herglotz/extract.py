@@ -218,10 +218,13 @@ def _mp_qr_solve(cols, rhs):
     return sol, cond, float(resid), deficient + bad
 
 
-def _to_mpf_list(values):
-    if isinstance(values, np.ndarray) and values.dtype == object:
-        return [mpf(v) if not isinstance(v, mpf) else v for v in values]
-    return [mpf(float(v)) for v in values]
+def _mp_parts(values):
+    """Real and imaginary parts of profile values as mpf lists; object arrays of
+    mp numbers convert without rounding to double."""
+    if np.asarray(values).dtype == object:
+        return [mpf(v.real) for v in values], [mpf(v.imag) for v in values]
+    arr = np.asarray(values)
+    return [mpf(float(v)) for v in arr.real], [mpf(float(v)) for v in arr.imag]
 
 
 def _taylor_gamma(pairs, profile, d):
@@ -242,14 +245,7 @@ def _taylor_gamma(pairs, profile, d):
     K = min((lmax - lmin) // 2 + 1 + 12, n_inner - 1)
     # power columns r^{lmin + 2k}; the d-dependent prefactor r^{-(d-2)} is
     # absorbed by multiplying the profile by r^{d-2}
-    if np.asarray(profile.values).dtype == object:
-        vals = list(profile.values)
-        re = [mpf(v.real) if hasattr(v, "real") else mpf(v) for v in vals[:n_inner]]
-        im = [mpf(v.imag) if hasattr(v, "imag") else mpf(0) for v in vals[:n_inner]]
-    else:
-        arr = np.asarray(profile.values)[:n_inner]
-        re = [mpf(float(np.real(v))) for v in arr]
-        im = [mpf(float(np.imag(v))) for v in arr]
+    re, im = _mp_parts(profile.values[:n_inner])
     re = [re[i] * rin[i] ** (d - 2) for i in range(n_inner)]
     im = [im[i] * rin[i] ** (d - 2) for i in range(n_inner)]
     pcols = [[r ** (lmin + 2 * k) for r in rin] for k in range(K)]
@@ -306,14 +302,7 @@ def radial_unmix(profile: RadialProfile, M: int, d: int, method: str = "lstsq") 
         if method != "lstsq":
             raise ValueError(f"unknown unmixing method {method!r}")
         cols = _mp_columns(pairs, profile.radii, d)
-        if np.asarray(profile.values).dtype == object:
-            vals = list(profile.values)
-            re = [mpf(v.real) if hasattr(v, "real") else mpf(v) for v in vals]
-            im = [mpf(v.imag) if hasattr(v, "imag") else mpf(0) for v in vals]
-        else:
-            arr = np.asarray(profile.values)
-            re = [mpf(float(np.real(v))) for v in arr]
-            im = [mpf(float(np.imag(v))) for v in arr]
+        re, im = _mp_parts(profile.values)
         gr, cond, res_r, defic = _mp_qr_solve(cols, re)
         gi, _, res_i, _ = _mp_qr_solve(cols, im)
         if defic:
@@ -330,26 +319,15 @@ def radial_unmix(profile: RadialProfile, M: int, d: int, method: str = "lstsq") 
 
 
 def _assemble_2d(reports, M, grid) -> MagnitudeData:
-    fourier = {(m, n): {} for m in range(M + 1) for n in range(m, M + 1)}
-    by_freq = {rep.frequency: rep for rep in reports}
-    for (m, n) in list(fourier.keys()):
-        div = 1.0 if m == n else 2.0
-        for q in {m + n, n - m}:
-            rep = by_freq.get(q)
-            if rep is None or (m, n) not in rep.gamma:
-                continue
-            coeff = rep.gamma[(m, n)] / div
-            fourier[(m, n)][q] = coeff
-            if q > 0:
-                fourier[(m, n)][-q] = np.conj(coeff)
-    ang = grid.angles
-    samples = {}
-    for (m, n), tab in fourier.items():
-        vals = np.zeros(len(grid), dtype=complex)
-        for q, c in tab.items():
-            vals += c * np.exp(1j * q * ang)
-        samples[(m, n)] = vals.real
-    return MagnitudeData(2, M, grid, samples, fourier)
+    table = np.zeros((M + 1, M + 1, 4 * M + 1), dtype=complex)
+    for rep in reports:
+        q = rep.frequency
+        for (m, n), gamma in rep.gamma.items():
+            coeff = gamma / (1.0 if m == n else 2.0)
+            # at q = 0 the second write wins
+            table[m, n, 2 * M - q] = np.conj(coeff)
+            table[m, n, 2 * M + q] = coeff
+    return MagnitudeData(2, grid, table)
 
 
 def _legendre_triple(m, n, q, nquad=None):
@@ -384,7 +362,7 @@ def _extract_3d_joint(profiles, M, grid):
         rhs = []
         for prof in used:
             q = prof.frequency
-            vals = _to_mpf_list(prof.values)
+            vals = _mp_parts(prof.values)[0]
             rhs.extend(vals)
             for j, (m, n) in enumerate(pairs):
                 beta = _legendre_triple(m, n, q)
@@ -411,13 +389,11 @@ def _extract_3d_joint(profiles, M, grid):
         reports.append(UnmixReport(prof.frequency, {}, norm, 1.0, "joint-lstsq",
                                    warnings=[] if norm < 1e-12 else
                                    [f"component beyond 2*max_degree has norm {norm:.2e}"]))
-    t = grid.polar_t
-    naz = grid.azimuth_count
-    samples = {}
-    for (m, n) in pairs:
-        prof = x[(m, n)] * _legendre_values(m, t) * _legendre_values(n, t)
-        samples[(m, n)] = np.repeat(prof, naz)
-    return MagnitudeData(3, M, grid, samples, None), reports
+    gamma = np.zeros((M + 1, M + 1))
+    gamma[np.triu_indices(M + 1)] = [x[p] for p in pairs]
+    legendre = np.array([_legendre_values(m, grid.polar_t) for m in range(M + 1)])
+    profile = gamma[:, :, None] * legendre[:, None, :] * legendre[None, :, :]
+    return MagnitudeData(3, grid, np.repeat(profile, grid.azimuth_count, axis=2)), reports
 
 
 def estimate_max_degree(samples: MagnitudeGrid, d: int, cap: int = 16) -> int:

@@ -13,6 +13,7 @@ data of a field is the family of real functions Re c_{m,n} determined by
 import math
 import warnings
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 from mpmath import mp, mpc, mpf
@@ -199,102 +200,110 @@ def magnitude_sq_from_modes(u: HerglotzField, r, theta) -> float:
 # magnitude data
 
 
-@dataclass
+def pair_frequencies(m: int, n: int) -> list:
+    """The angular frequencies +-(m+n), +-(n-m) that Re c_{m,n} can carry (d = 2)."""
+    return sorted({m + n, -(m + n), n - m, m - n})
+
+
+@dataclass(eq=False)
 class MagnitudeData:
-    """The family Re c_{m,n}, 0 <= m <= n <= M, as grid samples and, for d = 2,
-    the exact angular Fourier coefficients at frequencies +-(m+n), +-(m-n)."""
+    """The family Re c_{m,n}, 0 <= m, n <= M, held in one array symmetric in (m, n).
+
+    d = 2: ``table[m, n, q + 2M]`` is the angular Fourier coefficient of
+    Re c_{m,n} at frequency q. d >= 3: ``table[m, n, k]`` is Re c_{m,n} at grid
+    node k. Construction reads the upper triangle m <= n, mirrors it into the
+    lower one and freezes the array; for d = 2 it also synthesizes the grid
+    samples, the only place where a Fourier table becomes samples.
+    """
 
     dim: int
-    max_degree: int
     grid: SphereGrid
-    samples: dict  # (m, n) -> ndarray over grid nodes
-    fourier: dict | None = None  # d=2: (m, n) -> {q: complex}
+    table: np.ndarray
+
+    def __post_init__(self):
+        table = np.array(self.table, dtype=complex if self.dim == 2 else float)
+        lower = np.tril_indices(len(table), -1)
+        table[lower] = table[lower[::-1]]
+        table.flags.writeable = False
+        self.table = table
+        self._samples = self._synthesize() if self.dim == 2 else table
+
+    def _synthesize(self) -> np.ndarray:
+        """Grid samples of every Re c_{m,n}, summed in ascending frequency."""
+        M = self.max_degree
+        vals = np.zeros(self.table.shape[:2] + (len(self.grid),), dtype=complex)
+        for k, q in enumerate(range(-2 * M, 2 * M + 1)):
+            vals += self.table[:, :, k, None] * np.exp(1j * q * self.grid.angles)
+        samples = vals.real
+        samples.flags.writeable = False
+        return samples
+
+    @property
+    def max_degree(self) -> int:
+        return len(self.table) - 1
 
     def pairs(self):
-        return sorted(self.samples.keys())
+        M = self.max_degree
+        return [(m, n) for m in range(M + 1) for n in range(m, M + 1)]
+
+    def pair_samples(self, m, n) -> np.ndarray:
+        return self._samples[m, n]
+
+    def fourier_coeff(self, m, n, q) -> complex:
+        """Angular Fourier coefficient of Re c_{m,n} at frequency q (d = 2)."""
+        return complex(self.table[m, n, q + 2 * self.max_degree])
+
+    def pair_fourier(self, m, n) -> dict:
+        """{q: coefficient} of Re c_{m,n} at its frequencies; empty for d >= 3."""
+        if self.dim != 2:
+            return {}
+        return {q: self.fourier_coeff(m, n, q) for q in pair_frequencies(m, n)}
+
+    @property
+    def fourier(self):
+        """Read-only {(m, n): {q: coefficient}} for m <= n; None for d >= 3."""
+        if self.dim != 2:
+            return None
+        return MappingProxyType({p: self.pair_fourier(*p) for p in self.pairs()})
+
+    @property
+    def samples(self):
+        """Read-only {(m, n): grid samples of Re c_{m,n}} for m <= n."""
+        return MappingProxyType({p: self.pair_samples(*p) for p in self.pairs()})
 
     def max_abs(self) -> float:
-        best = 0.0
-        for v in self.samples.values():
-            if len(v):
-                best = max(best, float(np.abs(v).max()))
-        if self.fourier:
-            for tab in self.fourier.values():
-                for c in tab.values():
-                    best = max(best, abs(c))
-        return best
+        """Largest modulus over the samples and, for d = 2, the Fourier table."""
+        best = np.abs(self._samples).max(initial=0.0)
+        if self.dim == 2:
+            best = max(best, np.abs(self.table).max(initial=0.0))
+        return float(best)
 
-    def pair_samples(self, m, n):
-        key = (m, n) if m <= n else (n, m)
-        if key in self.samples:
-            return self.samples[key]
-        return np.zeros(len(self.grid))
+    def _padded(self, M) -> np.ndarray:
+        """The table zero-padded to the degree range 0..M."""
+        extra = M - self.max_degree
+        q_pad = (2 * extra, 2 * extra) if self.dim == 2 else (0, 0)
+        return np.pad(self.table, ((0, extra), (0, extra), q_pad))
 
-    def pair_fourier(self, m, n):
-        key = (m, n) if m <= n else (n, m)
-        if self.fourier is not None and key in self.fourier:
-            return self.fourier[key]
-        return {}
-
-    def deviation(self, other) -> float:
-        """Max absolute deviation over all pairs, on the joint degree range."""
+    def _joint_tables(self, other):
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
+        if self.dim != 2 and len(self.grid) != len(other.grid):
+            raise ValueError("sample grids differ; cannot compare")
         M = max(self.max_degree, other.max_degree)
-        dev = 0.0
-        use_fourier = self.fourier is not None and other.fourier is not None
-        for m in range(M + 1):
-            for n in range(m, M + 1):
-                if use_fourier:
-                    fa, fb = self.pair_fourier(m, n), other.pair_fourier(m, n)
-                    for q in set(fa) | set(fb):
-                        dev = max(dev, abs(fa.get(q, 0) - fb.get(q, 0)))
-                else:
-                    if len(self.grid) != len(other.grid):
-                        raise ValueError("sample grids differ; cannot compare")
-                    dev = max(
-                        dev,
-                        float(np.abs(self.pair_samples(m, n) - other.pair_samples(m, n)).max()),
-                    )
-        return dev
+        return self._padded(M), other._padded(M)
+
+    def deviation(self, other) -> float:
+        """Max absolute deviation over all pairs, on the joint degree range: of
+        the Fourier tables for d = 2, of the samples for d >= 3."""
+        a, b = self._joint_tables(other)
+        return float(np.abs(a - b).max(initial=0.0))
 
     def subtract(self, other) -> "MagnitudeData":
-        if self.dim != other.dim or len(self.grid) != len(other.grid):
-            raise ValueError("incompatible magnitude data")
-        M = max(self.max_degree, other.max_degree)
-        samples = {}
-        fourier = {} if (self.fourier is not None and other.fourier is not None) else None
-        for m in range(M + 1):
-            for n in range(m, M + 1):
-                samples[(m, n)] = self.pair_samples(m, n) - other.pair_samples(m, n)
-                if fourier is not None:
-                    fa, fb = self.pair_fourier(m, n), other.pair_fourier(m, n)
-                    fourier[(m, n)] = {
-                        q: fa.get(q, 0) - fb.get(q, 0) for q in set(fa) | set(fb)
-                    }
-        return MagnitudeData(self.dim, M, self.grid, samples, fourier)
+        a, b = self._joint_tables(other)
+        return MagnitudeData(self.dim, self.grid, a - b)
 
     def is_zero(self, tol) -> bool:
         return self.max_abs() <= tol
-
-
-def _fourier_pair_coeffs(u: HerglotzField, m: int, n: int) -> dict:
-    """Angular Fourier coefficients {q: R_q} of Re c_{m,n} for a d=2 field."""
-    def components(k):
-        vec = u.coeffs[k]
-        return [(k, vec[0])] if k == 0 else [(k, vec[0]), (-k, vec[1])]
-
-    cm = components(m)
-    cn = components(n)
-    raw = {}
-    for km, am in cm:
-        for kn, an in cn:
-            q = km - kn
-            raw[q] = raw.get(q, 0) + am * np.conj(an)
-    out = {}
-    for q in set(raw) | {-q for q in raw}:
-        out[q] = (raw.get(q, 0) + np.conj(raw.get(-q, 0))) / 2.0
-    return {q: complex(c) for q, c in out.items()}
 
 
 def default_data_grid(dim: int, max_degree: int) -> SphereGrid:
@@ -306,29 +315,48 @@ def default_data_grid(dim: int, max_degree: int) -> SphereGrid:
 def magnitude_coeffs(u: HerglotzField, grid: SphereGrid | None = None) -> MagnitudeData:
     """Assemble the magnitude data Re c_{m,n} of a field.
 
-    The grid should be exact for products of degree <= 2 * max_degree; the
-    default grid is. Diagonal entries are checked for pointwise nonnegativity.
+    d = 2 data is the exact angular Fourier table. d >= 3 data is sampled on
+    the grid, which should be exact for products of degree <= 2 * max_degree;
+    the default grid is. Diagonal entries are checked for pointwise
+    nonnegativity.
     """
     if grid is None:
         grid = default_data_grid(u.dim, u.max_degree)
     if grid.dim != u.dim:
         raise ValueError("grid dimension mismatch")
     M = u.max_degree
-    fvals = [u.basis.values(m, grid.nodes) @ u.coeffs[m] for m in range(M + 1)]
-    samples = {}
-    fourier = {} if u.dim == 2 else None
-    scale = 1.0 + max(float(np.abs(f).max(initial=0.0)) for f in fvals) ** 2
-    for m in range(M + 1):
-        for n in range(m, M + 1):
-            vals = (fvals[m] * np.conj(fvals[n])).real
-            if m == n and vals.min(initial=0.0) < -1e-12 * scale:
-                raise RuntimeError(
-                    f"diagonal magnitude data Re c_{{{m},{m}}} lost positivity"
-                )
-            samples[(m, n)] = vals
-            if fourier is not None:
-                fourier[(m, n)] = _fourier_pair_coeffs(u, m, n)
-    return MagnitudeData(u.dim, M, grid, samples, fourier)
+    if u.dim == 2:
+        # f_m = a_m^+ e^{imt} + a_m^- e^{-imt} (one amplitude at m = 0), so
+        # c_{m,n} = f_m conj(f_n) carries four products at q = +-m -+ n
+        plus = np.array([v[0] for v in u.coeffs])
+        minus = np.array([0j] + [v[1] for v in u.coeffs[1:]])
+        m, n = np.ogrid[: M + 1, : M + 1]
+        raw = np.zeros((M + 1, M + 1, 4 * M + 1), dtype=complex)
+        for a, b, q in ((plus, plus, m - n), (plus, minus, m + n),
+                        (minus, plus, -m - n), (minus, minus, n - m)):
+            b = np.conj(b)
+            # real arithmetic rounds as a scalar complex product does (no fused
+            # multiply-add), so that u -> i u leaves the data bit-identical
+            idx = (m, n, 2 * M + q)
+            raw.real[idx] += a.real[:, None] * b.real - a.imag[:, None] * b.imag
+            raw.imag[idx] += a.real[:, None] * b.imag + a.imag[:, None] * b.real
+        data = MagnitudeData(2, grid, (raw + np.conj(raw[..., ::-1])) / 2.0)
+    else:
+        f = np.array([u.basis.values(k, grid.nodes) @ u.coeffs[k] for k in range(M + 1)])
+        data = MagnitudeData(u.dim, grid, (f[:, None] * np.conj(f)[None]).real)
+    diag = np.array([data.pair_samples(k, k) for k in range(M + 1)])
+    worst = int(np.argmin(diag.min(axis=1, initial=0.0)))
+    if diag[worst].min(initial=0.0) < -1e-12 * (1.0 + diag.max(initial=0.0)):
+        raise RuntimeError(
+            f"diagonal magnitude data Re c_{{{worst},{worst}}} lost positivity"
+        )
+    return data
+
+
+def comparison_tol(dim: int) -> float:
+    """Relative tolerance of the field comparisons: exact Fourier data for
+    d = 2, grid samples for d >= 3."""
+    return COEFF_TOL if dim == 2 else GRID_TOL
 
 
 def equal_magnitude(u: HerglotzField, v: HerglotzField, tol: float | None = None) -> bool:
@@ -341,7 +369,7 @@ def equal_magnitude(u: HerglotzField, v: HerglotzField, tol: float | None = None
     dv = magnitude_coeffs(v.padded(M), grid)
     scale = 1.0 + max(du.max_abs(), dv.max_abs())
     if tol is None:
-        tol = COEFF_TOL if u.dim == 2 else GRID_TOL
+        tol = comparison_tol(u.dim)
     dev = du.deviation(dv)
     verdict = dev <= tol * scale
 

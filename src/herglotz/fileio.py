@@ -10,7 +10,7 @@ import tempfile
 import numpy as np
 
 from . import harmonics
-from .field import HerglotzField, MagnitudeData, MagnitudeGrid
+from .field import HerglotzField, MagnitudeData, MagnitudeGrid, pair_frequencies
 from .harmonics import BasisSpec, harmonic_dim, sphere_grid
 
 FIELD_MAGIC = "herglotz-field 1"
@@ -258,10 +258,8 @@ def data_to_text(data: MagnitudeData, basis: BasisSpec | None = None) -> str:
         lines += _basis_lines(basis, data.max_degree)
     for (m, n) in data.pairs():
         lines.append(f"pair {m} {n}")
-        tab = data.pair_fourier(m, n)
-        if data.dim == 2 and tab:
-            for q in sorted(tab):
-                c = tab[q]
+        if data.dim == 2:
+            for q, c in data.pair_fourier(m, n).items():
                 lines.append(f"fourier {q} {_fmt(c.real)} {_fmt(c.imag)}")
         else:
             vals = " ".join(_fmt(v) for v in data.pair_samples(m, n))
@@ -319,25 +317,26 @@ def parse_data(text: str):
     if dim is None or max_degree is None or res is None:
         raise FileFormatError("missing dim / max_degree / grid header")
     grid = sphere_grid(dim, res)
-    out_samples = {}
-    out_fourier = {} if dim == 2 else None
-    for m in range(max_degree + 1):
-        for n in range(m, max_degree + 1):
-            key = (m, n)
-            if dim == 2:
-                tab = fourier.get(key, {})
-                out_fourier[key] = tab
-                vals = np.zeros(len(grid), dtype=complex)
-                for q, c in tab.items():
-                    vals += c * np.exp(1j * q * grid.angles)
-                out_samples[key] = vals.real
-            else:
-                out_samples[key] = samples.get(key, np.zeros(len(grid)))
-                if len(out_samples[key]) != len(grid):
-                    raise FileFormatError(
-                        f"pair {key} has {len(out_samples[key])} samples, grid has {len(grid)}"
-                    )
-    data = MagnitudeData(dim, max_degree, grid, out_samples, out_fourier)
+    M = max_degree
+    for (m, n) in fourier:
+        if not 0 <= m <= n <= M:
+            raise FileFormatError(f"pair {m} {n} is not in 0 <= m <= n <= {M}")
+    if dim == 2:
+        table = np.zeros((M + 1, M + 1, 4 * M + 1), dtype=complex)
+        for (m, n), tab in fourier.items():
+            for q, c in tab.items():
+                if q not in pair_frequencies(m, n):
+                    raise FileFormatError(f"pair {m} {n} has no frequency {q}")
+                table[m, n, q + 2 * M] = c
+    else:
+        table = np.zeros((M + 1, M + 1, len(grid)))
+        for (m, n), vals in samples.items():
+            if len(vals) != len(grid):
+                raise FileFormatError(
+                    f"pair {(m, n)} has {len(vals)} samples, grid has {len(grid)}"
+                )
+            table[m, n] = vals
+    data = MagnitudeData(dim, grid, table)
     basis = None
     if kind is not None:
         basis = _build_basis(kind, dim, normalization or harmonics.RAW, poles)

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .poly import Polynomial
-from .specfun import gegenbauer
+from .specfun import _pochhammer_fraction, gegenbauer
 
 SURFACE_TOL = 1e-12
 
@@ -65,13 +65,6 @@ def degree_multi_indices(d: int, m: int):
     return out
 
 
-def _pochhammer(q: Fraction, n: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(n):
-        out *= q + i
-    return out
-
-
 def p_alpha(alpha, d: int) -> Polynomial:
     """Harmonic homogeneous polynomial p_alpha of degree |alpha| in R^d (d >= 3),
     built by exact symbolic differentiation of |x|^{2-d}:
@@ -104,7 +97,7 @@ def p_alpha(alpha, d: int) -> Polynomial:
                 key = (tuple(b), e2 - 2)
                 new[key] = new.get(key, Fraction(0)) + c * Fraction(e2, 2) * 2
             terms = {k: v for k, v in new.items() if v != 0}
-    norm = Fraction((-1) ** m, 1) / (2**m * _pochhammer(Fraction(d - 2, 2), m))
+    norm = Fraction((-1) ** m, 1) / (2**m * _pochhammer_fraction(Fraction(d - 2, 2), m))
     rho = Polynomial.radius_sq(d)
     out = Polynomial(d, {})
     for (beta, e2), c in terms.items():

@@ -241,17 +241,6 @@ def _finish(candidate: HerglotzField, data: MagnitudeData, branch: str, modes,
 # d = 2 retrieval
 
 
-def _fourier_coeff(data: MagnitudeData, m: int, n: int, q: int) -> complex:
-    tab = data.pair_fourier(m, n)
-    if tab:
-        return complex(tab.get(q, 0.0))
-    grid = data.grid
-    if grid.angles is None:
-        raise ValueError("d=2 retrieval needs Fourier coefficients or an angular grid")
-    vals = data.pair_samples(m, n)
-    return complex(np.sum(vals * np.exp(-1j * q * grid.angles)) / len(grid))
-
-
 def _zero_field_result(data, branch):
     zero = HerglotzField.zero(2, data.max_degree, harmonics.fourier2d_basis())
     return _finish(zero, data, branch, [])
@@ -271,8 +260,8 @@ def retrieve_2d(data: MagnitudeData, accept_tol: float = ACCEPT_TOL) -> Retrieva
     scale = 1.0 + data.max_abs()
     active_tol = max(ACTIVE_TOL, 1e-12 * scale)
 
-    s = {m: float(np.real(_fourier_coeff(data, m, m, 0))) for m in range(M + 1)}
-    p = {m: _fourier_coeff(data, m, m, 2 * m) for m in range(1, M + 1)}
+    s = {m: data.fourier_coeff(m, m, 0).real for m in range(M + 1)}
+    p = {m: data.fourier_coeff(m, m, 2 * m) for m in range(1, M + 1)}
 
     if all(v <= active_tol for v in s.values()):
         return _zero_field_result(data, "zero")
@@ -292,7 +281,7 @@ def _retrieve_2d_mean(data: MagnitudeData, s: dict, accept_tol: float) -> Retrie
     coeffs_re = [np.array([u0 + 0j])]
     modes = [{"m": 0, "branch": "mean", "mean": u0}]
     for n in range(1, M + 1):
-        rn = _fourier_coeff(data, 0, n, n)
+        rn = data.fourier_coeff(0, n, n)
         rea = 2 * rn.real / u0
         reb = -2 * rn.imag / u0
         coeffs_re.append(np.array([(rea - 1j * reb) / 2, (rea + 1j * reb) / 2]))
@@ -314,26 +303,25 @@ def _retrieve_2d_zero_mean(data, s, p, accept_tol) -> RetrievalResult:
         return _zero_field_result(data, "zero")
 
     pairs = {m: solve_pair(s[m], p[m], tol=1e-7) for m in active}
-    modes = []
-    for m in active:
-        sol = pairs[m]
-        disc = s[m] ** 2 - 4 * abs(p[m]) ** 2
-        modes.append(
-            {
-                "m": m,
-                "s": s[m],
-                "abs_p": abs(p[m]),
-                "type_r": disc <= R_TOL * (s[m] ** 2),
-                "moduli": sol.moduli,
-            }
-        )
-    is_r = {e["m"]: e["type_r"] for e in modes}
-    hub_candidates = [m for m in active if not is_r[m]]
+    disc = {m: s[m] ** 2 - 4 * abs(p[m]) ** 2 for m in active}
+    modes = [
+        {
+            "m": m,
+            "s": s[m],
+            "abs_p": abs(p[m]),
+            "type_r": disc[m] <= R_TOL * (s[m] ** 2),
+            "moduli": pairs[m].moduli,
+        }
+        for m in active
+    ]
+    hub_candidates = [e["m"] for e in modes if not e["type_r"]]
 
     coeffs = [np.zeros(1, dtype=complex)] + [np.zeros(2, dtype=complex) for _ in range(M)]
 
     if hub_candidates:
-        hub = hub_candidates[0]
+        # the hub solve divides by |v_-|^2 - |v_+|^2, which vanishes as a mode
+        # nears type R: take the mode farthest from it
+        hub = max(hub_candidates, key=lambda m: disc[m] / s[m] ** 2)
         sol = pairs[hub]
         hi, lo = sol.moduli
         vh_p = complex(hi)
@@ -343,8 +331,8 @@ def _retrieve_2d_zero_mean(data, s, p, accept_tol) -> RetrievalResult:
         for n in active:
             if n == hub:
                 continue
-            r_plus = _fourier_coeff(data, min(hub, n), max(hub, n), hub + n)
-            r_minus = _fourier_coeff(data, min(hub, n), max(hub, n), abs(n - hub))
+            r_plus = data.fourier_coeff(hub, n, hub + n)
+            r_minus = data.fourier_coeff(hub, n, abs(n - hub))
             b2 = r_minus if n > hub else np.conj(r_minus)
             # [conj(vh_m) vh_p; conj(vh_p) vh_m] [z1 z2]^T = [2 r_plus, 2 b2]^T
             z1 = (vh_m * 2 * r_plus - vh_p * 2 * b2) / det
@@ -384,14 +372,14 @@ def _cosine_phase_candidates(data, n, fixed, rho, theta, chi):
     """Sign candidates +-delta for the phase of an all-R mode, scored against
     the cross data with every already-fixed mode."""
     k0 = fixed[0]
-    r = _fourier_coeff(data, min(k0, n), max(k0, n), k0 + n)
+    r = data.fourier_coeff(k0, n, k0 + n)
     c = np.real(r * np.exp(-1j * (theta[k0] + theta[n]))) / (rho[k0] * rho[n])
     delta = math.acos(min(1.0, max(-1.0, c)))
     for sign in (1.0, -1.0):
         cand = chi[k0] + sign * delta
         err = 0.0
         for k in fixed:
-            rk = _fourier_coeff(data, min(k, n), max(k, n), k + n)
+            rk = data.fourier_coeff(k, n, k + n)
             ck = np.real(rk * np.exp(-1j * (theta[k] + theta[n]))) / (rho[k] * rho[n])
             err += abs(math.cos(cand - chi[k]) - min(1.0, max(-1.0, ck)))
         yield cand, err
@@ -480,7 +468,7 @@ def solve_real_from_data(data: MagnitudeData, basis: BasisSpec) -> HerglotzField
         if n == m0:
             continue
         Yn = _real_basis_values(basis, n, grid)
-        cross = data.pair_samples(min(m0, n), max(m0, n))
+        cross = data.pair_samples(m0, n)
         D = (w0[:, None] * Yn) * np.sqrt(grid.weights)[:, None]
         rhs = cross * np.sqrt(grid.weights)
         bn, *_ = np.linalg.lstsq(D, rhs, rcond=None)
@@ -639,7 +627,7 @@ def retrieve_3d_sparse(data: MagnitudeData, basis: BasisSpec,
 
         def cross_scalar(m, n):
             psi = yvals[m][:, support[m]] * yvals[n][:, support[n]]
-            vals = data.pair_samples(min(m, n), max(m, n))
+            vals = data.pair_samples(m, n)
             return float(np.dot(vals * grid.weights, psi) / np.dot(psi * grid.weights, psi))
 
         re = {m0: modulus[m0]}

@@ -3,9 +3,11 @@ import pytest
 
 from herglotz import fileio
 from herglotz.cli import main
-from herglotz.field import magnitude_coeffs, random_field, trivially_equivalent
+from herglotz.extract import extract_magnitude_data, radial_grid
+from herglotz.field import magnitude_coeffs, random_field, sample_magnitude, trivially_equivalent
 from herglotz.fileio import FileFormatError
 from herglotz.harmonics import BasisSpec, fourier2d_basis
+from herglotz.retrieve import retrieve_2d, retrieve_3d_mean
 
 
 def run(args):
@@ -66,9 +68,6 @@ def test_pipeline_roundtrip(tmp_path, capsys):
 
 def test_grid_roundtrip_bit_faithful(tmp_path):
     u = random_field(2, 3, fourier2d_basis(), seed=9)
-    from herglotz.extract import radial_grid
-    from herglotz.field import sample_magnitude
-
     g = sample_magnitude(u, radial_grid(12), 9)
     p = tmp_path / "g.grid"
     fileio.write_grid(str(p), g)
@@ -109,6 +108,37 @@ def test_data_file_roundtrip(tmp_path):
     assert data.deviation(back) < 1e-15
 
 
+def test_data_file_rejects_impossible_records():
+    text = fileio.data_to_text(magnitude_coeffs(random_field(2, 2, fourier2d_basis(), seed=5)))
+    for old, bad in (("pair 1 2", "pair 2 1"), ("pair 1 2", "pair 1 3"), ("fourier 3 ", "fourier 4 ")):
+        with pytest.raises(FileFormatError):
+            fileio.parse_data(text.replace(old, bad))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_extracted_data_survives_its_file(dim):
+    # in-memory extraction and its file round trip are the same data, bit for bit
+    if dim == 2:
+        basis, M = fourier2d_basis(), 3
+        u = random_field(2, M, basis, seed=3)
+        g = sample_magnitude(u, radial_grid(48), 4 * M + 5)
+        retrieve = retrieve_2d
+    else:
+        basis, M = BasisSpec("zonal", 3), 4
+        u = random_field(3, M, basis, seed=3, zonal=True)
+        g = sample_magnitude(u, radial_grid(48), 2 * M + 4)
+        retrieve = lambda data: retrieve_3d_mean(data, basis)  # noqa: E731
+    data, _ = extract_magnitude_data(g, dim, M)
+    text = fileio.data_to_text(data, None if dim == 2 else basis)
+    back, back_basis = fileio.parse_data(text)
+    assert np.array_equal(back.table, data.table)
+    for pair in data.pairs():
+        assert np.array_equal(back.pair_samples(*pair), data.pair_samples(*pair))
+    assert fileio.data_to_text(back, back_basis) == text
+    for a, b in zip(retrieve(data).field.coeffs, retrieve(back).field.coeffs):
+        assert np.array_equal(a, b)
+
+
 def test_retrieve_exit_codes(tmp_path, capsys):
     f = tmp_path / "u.field"
     g = tmp_path / "u.grid"
@@ -147,6 +177,25 @@ def test_verify_identity_output(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "equal_magnitude=true" in out
     assert "equivalence=Identity" in out
+
+
+def test_verify_d3_tolerance(tmp_path, capsys):
+    f, g, d, v, w = (str(tmp_path / n) for n in ("u.field", "u.grid", "u.data", "v.field", "w.field"))
+    gen = ["gen", "--dim", "3", "--zonal", "--max-degree", "4"]
+    assert run([*gen, "--seed", "2", "--out", f]) == 0
+    assert run(["sample", f, "--out", g]) == 0
+    assert run(["extract", g, "--out", d]) == 0
+    assert run(["retrieve", d, "--out", v]) == 0
+    capsys.readouterr()
+    # the sampled round trip leaves a coefficient residual near 1e-7
+    assert run(["verify", f, v]) == 0
+    out = capsys.readouterr().out
+    assert "equal_magnitude=true" in out
+    assert "equivalence=Inequivalent" not in out
+    assert run([*gen, "--seed", "3", "--out", w]) == 0
+    capsys.readouterr()
+    assert run(["verify", f, w]) == 0
+    assert "equivalence=Inequivalent" in capsys.readouterr().out
 
 
 def test_verify_dimension_mismatch(tmp_path, capsys):

@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from herglotz.field import (
     HerglotzField,
+    MagnitudeData,
     conjugate_field,
     equal_magnitude,
     magnitude_coeffs,
     random_field,
+    sample_magnitude,
     trivially_equivalent,
 )
+from herglotz.extract import extract_magnitude_data, radial_grid
 from herglotz.harmonics import BasisSpec, fourier2d_basis
 from herglotz.retrieve import (
     BranchNotApplicableError,
@@ -254,15 +257,26 @@ def test_exclusion_property():
     assert not equal_magnitude(u, v)
 
 
+def test_retrieve_2d_zero_mean_hub_far_from_type_r():
+    # mode 1 sits just above the type-R threshold; as the hub it wrecks the
+    # sampled round trip (forward residual 5e-3)
+    u = random_field(2, 4, F2, seed=1158, zero_mean=True)
+    g = sample_magnitude(u, radial_grid(48), 21)
+    data, _ = extract_magnitude_data(g, 2, 4)
+    result = retrieve_2d(data)
+    assert result.residual < 1e-7
+    assert trivially_equivalent(result.field, u, tol=1e-7).verdict != "Inequivalent"
+
+
 def test_retrieve_2d_inconsistent_data():
     u = random_field(2, 3, F2, seed=10, zero_mean=True)
     data = magnitude_coeffs(u)
-    key = (1, 2)
-    tab = dict(data.pair_fourier(*key))
-    q = max(q for q in tab if q > 0)
-    tab[q] = tab[q] + 0.4
-    tab[-q] = np.conj(tab[q])
-    data.fourier[key] = tab
+    # perturb Re c_{1,2} at its top frequency q = 3 and keep it real
+    table = data.table.copy()
+    top, bottom = 2 * 3 + 3, 2 * 3 - 3
+    table[1, 2, top] += 0.4
+    table[1, 2, bottom] = np.conj(table[1, 2, top])
+    data = MagnitudeData(2, data.grid, table)
     with pytest.raises(InconsistentDataError) as exc:
         retrieve_2d(data)
     assert exc.value.residual is not None and exc.value.residual > 1e-3
