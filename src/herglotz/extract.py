@@ -9,21 +9,28 @@ radial unmixing of each profile over the Bessel-product dictionary
 
 The per-profile design matrices are generalized Vandermonde systems whose
 conditioning grows steeply with the truncation degree, so all profile solves
-run in arbitrary precision (mpmath); double-precision input samples then limit
-the attainable accuracy, not the solver. The solves share mpmath's global
-precision context: parallelize across processes, not threads.
+run at WORK_DPS significant digits; double-precision input samples then limit
+the attainable accuracy, not the solver. The solves work in fixed point: the
+columns and the right-hand side become Python integers scaled by
+2^(mp.prec + GUARD_BITS), and one least-squares kernel (_mp_qr_solve) serves
+the lstsq, taylor and d = 3 joint unmixing. They still take their precision
+from mpmath's global context: parallelize across processes, not threads.
 """
 
 import math
 from dataclasses import dataclass, field as dc_field
+from operator import mul
 
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import from_int, mpf_div, mpf_shift, round_nearest, to_fixed
 
 from .field import MagnitudeData, MagnitudeGrid, nu_order
 from .specfun import bessel_j_mp
 
 WORK_DPS = 50
+# fraction bits beyond mp.prec carried by the fixed-point least-squares solve
+GUARD_BITS = 64
 CONDITION_WARN = 1e10
 
 
@@ -101,13 +108,10 @@ def angular_decompose(samples: MagnitudeGrid, d: int) -> list:
         profiles = []
         with mp.workdps(WORK_DPS):
             if high:
-                cosq = {}
                 for q in range(qmax + 1):
-                    cosq[q] = [mp.expjpi(mpf(-2 * q * k) / Q) for k in range(Q)]
-                for q in range(qmax + 1):
+                    twiddle = [mp.expjpi(mpf(-2 * q * k) / Q) for k in range(Q)]
                     rows = np.empty(len(samples.radii), dtype=object)
-                    for i in range(len(samples.radii)):
-                        rows[i] = sum(vals[i, k] * cosq[q][k] for k in range(Q)) / Q
+                    rows[:] = [mp.fdot(row, twiddle) / Q for row in vals.tolist()]
                     profiles.append(RadialProfile(2, q, samples.radii, rows))
             else:
                 coef = np.fft.fft(np.asarray(vals, dtype=float), axis=1) / Q
@@ -178,44 +182,62 @@ def _mp_columns(pairs, radii, d):
     return cols
 
 
-def _mp_qr_solve(cols, rhs):
-    """Least squares via modified Gram-Schmidt on normalized columns.
+def _fixed(values, frac):
+    """mpf values as integers floor(v * 2^(frac - e)), with 2^e the smallest
+    power of two above every |v| (e = 0 for all zeros); returns (ints, e)."""
+    raw = [v._mpf_ for v in values]
+    e = max((exp + bc for _, man, exp, bc in raw if man), default=0)
+    return [to_fixed(s, frac - e) for s in raw], e
 
-    Returns (solution, condition estimate from the R diagonal, residual norm).
-    Raises ExtractionRankError-ready info by returning rank-deficient columns.
+
+def _dot(a, b):
+    return sum(map(mul, a, b))
+
+
+def _mp_qr_solve(cols, rhs):
+    """Least squares via modified Gram-Schmidt (two passes) on normalized columns.
+
+    Each column, and the right-hand side, is scaled by a power of two taken from
+    its largest entry and held as integers with F = mp.prec + GUARD_BITS
+    fraction bits; the factorization and the back substitution run on those
+    integers. Returns (solution as mpf at the working precision, condition
+    estimate from the R diagonal, residual norm, rank-deficient columns).
     """
-    m = len(rhs)
-    norms = [mp.sqrt(mp.fsum(x * x for x in col)) for col in cols]
-    bad = [j for j, nr in enumerate(norms) if nr == 0]
+    F = mp.prec + GUARD_BITS
+    scaled = [_fixed(col, F) for col in cols]
+    norms = [math.isqrt(_dot(a, a)) for a, _ in scaled]
+    unit = [[(x << F) // nr for x in a] if nr else a for (a, _), nr in zip(scaled, norms)]
     ncols = len(cols)
-    qcols, R = [], [[mpf(0)] * ncols for _ in range(ncols)]
+    qcols, R = [], [[0] * ncols for _ in range(ncols)]
     for j in range(ncols):
-        v = [x / norms[j] for x in cols[j]] if norms[j] > 0 else [mpf(0)] * m
+        v = unit[j]
         for _ in range(2):  # reorthogonalize
-            for i in range(len(qcols)):
-                c = mp.fsum(qcols[i][t] * v[t] for t in range(m))
+            for i, qi in enumerate(qcols):
+                c = _dot(qi, v) >> F
                 R[i][j] += c
-                for t in range(m):
-                    v[t] -= c * qcols[i][t]
-        nr = mp.sqrt(mp.fsum(x * x for x in v))
+                v = [vt - ((c * qt) >> F) for vt, qt in zip(v, qi)]
+        nr = math.isqrt(_dot(v, v))
         R[j][j] = nr
-        qcols.append([x / nr for x in v] if nr > 0 else v)
-    diag = [abs(R[j][j]) for j in range(ncols)]
-    dmax = max(diag) if diag else mpf(1)
-    rank_floor = dmax * mpf(10) ** (-(mp.dps - 8))
-    deficient = [j for j, dj in enumerate(diag) if dj <= rank_floor]
-    cond = float(dmax / min(diag)) if min(diag) > 0 else math.inf
-    y = [mp.fsum(qcols[i][t] * rhs[t] for t in range(m)) for i in range(ncols)]
-    x = [mpf(0)] * ncols
+        qcols.append([(x << F) // nr for x in v] if nr else v)
+    diag = [R[j][j] for j in range(ncols)]
+    dmax = max(diag)
+    deficient = [j for j, dj in enumerate(diag) if dj * 10 ** (mp.dps - 8) <= dmax]
+    cond = dmax / min(diag) if min(diag) > 0 else math.inf
+    b, eb = _fixed(rhs, F)
+    x = [0] * ncols
     for i in range(ncols - 1, -1, -1):
-        if i in deficient:
-            continue
-        x[i] = (y[i] - mp.fsum(R[i][k] * x[k] for k in range(i + 1, ncols))) / R[i][i]
-    fit = [mp.fsum(cols_j[t] * (x[j] / norms[j]) for j, cols_j in enumerate(cols) if norms[j] > 0)
-           for t in range(m)]
-    resid = mp.sqrt(mp.fsum((rhs[t] - fit[t]) ** 2 for t in range(m)))
-    sol = [x[j] / norms[j] if norms[j] > 0 else mpf(0) for j in range(ncols)]
-    return sol, cond, float(resid), deficient + bad
+        if i not in deficient:
+            s = _dot(qcols[i], b) - _dot(R[i][i + 1:], x[i + 1:])
+            x[i] = s // R[i][i]
+    fit = [_dot(row, x) >> F for row in zip(*unit)]
+    resid = math.isqrt(sum((bt - ft) ** 2 for bt, ft in zip(b, fit)))
+    # entry j of the solution is x_j / N_j * 2^(eb - e_j), rounded once
+    sol = [
+        mp.make_mpf(mpf_shift(mpf_div(from_int(xj), from_int(nr), mp.prec, round_nearest), eb - e))
+        if nr else mpf(0)
+        for xj, nr, (_, e) in zip(x, norms, scaled)
+    ]
+    return sol, cond, float(mp.ldexp(resid, eb - F)), deficient
 
 
 def _mp_parts(values):

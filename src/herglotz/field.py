@@ -13,6 +13,7 @@ data of a field is the family of real functions Re c_{m,n} determined by
 import math
 import warnings
 from dataclasses import dataclass
+from operator import mul
 from types import MappingProxyType
 
 import numpy as np
@@ -229,11 +230,19 @@ class MagnitudeData:
         self._samples = self._synthesize() if self.dim == 2 else table
 
     def _synthesize(self) -> np.ndarray:
-        """Grid samples of every Re c_{m,n}, summed in ascending frequency."""
+        """Grid samples of every Re c_{m,n}, summed in ascending frequency over
+        the frequencies -(m+n) <= -|n-m| <= |n-m| <= m+n the pair carries; a
+        repeated frequency is added once, the other copy as an exact zero."""
         M = self.max_degree
+        waves = np.exp(1j * np.arange(-2 * M, 2 * M + 1)[:, None] * self.grid.angles)
+        m, n = np.indices(self.table.shape[:2])
+        total, diff = m + n, abs(n - m)
         vals = np.zeros(self.table.shape[:2] + (len(self.grid),), dtype=complex)
-        for k, q in enumerate(range(-2 * M, 2 * M + 1)):
-            vals += self.table[:, :, k, None] * np.exp(1j * q * self.grid.angles)
+        slots = ((-total, True), (-diff, diff != total), (diff, diff != 0), (total, total != diff))
+        for q, once in slots:
+            k = q + 2 * M
+            coef = np.take_along_axis(self.table, k[..., None], axis=2)[..., 0]
+            vals += np.where(once, coef, 0)[..., None] * waves[k]
         samples = vals.real
         samples.flags.writeable = False
         return samples
@@ -575,22 +584,22 @@ def sample_magnitude(
     if u.dim != 2:
         raise ValueError("high-precision sampling is only implemented for d = 2")
     with mp.workdps(dps):
-        Q = angular
-        js = {m: [bessel_j_mp(m, mpf(r)) for r in radii] for m in range(u.max_degree + 1)}
-        vals = np.empty((len(radii), Q), dtype=object)
+        degrees = range(u.max_degree + 1)
+        js = [[bessel_j_mp(m, mpf(r)) for r in radii] for m in degrees]
+        js_at_radius = list(zip(*js))
+        coeffs = [[mpc(c) for c in u.coeffs[m]] for m in degrees]
+        vals = np.empty((len(radii), angular), dtype=object)
         pref = 2 * mp.pi
-        for qi in range(Q):
-            phases = {}
-            for m in range(u.max_degree + 1):
-                phases[m] = mp.expjpi(mpf(2 * m * qi) / Q)
-            for ri in range(len(radii)):
-                tot = mpc(0)
-                for m in range(u.max_degree + 1):
-                    vec = u.coeffs[m]
-                    if m == 0:
-                        fm = mpc(vec[0])
-                    else:
-                        fm = mpc(vec[0]) * phases[m] + mpc(vec[1]) / phases[m]
-                    tot += fm * js[m][ri]
+        for qi in range(angular):
+            # f_m(theta) = c_m e^{i m theta} + c_{-m} e^{-i m theta}, once per
+            # angle. The sum over m rounds term by term in ascending m: taylor
+            # unmixing amplifies the samples' last-digit rounding, so this
+            # order is part of its result.
+            f = [coeffs[0][0]]
+            for m in degrees[1:]:
+                phase = mp.expjpi(mpf(2 * m * qi) / angular)
+                f.append(coeffs[m][0] * phase + coeffs[m][1] / phase)
+            for ri, jrow in enumerate(js_at_radius):
+                tot = sum(map(mul, f, jrow), mpc(0))
                 vals[ri, qi] = pref * (tot.real**2 + tot.imag**2)
     return MagnitudeGrid(2, radii, grid, vals)

@@ -275,9 +275,10 @@ def bessel_j_mp(nu, r):
     t = half**nu_m / mp.gamma(nu_m + 1)
     total = t
     h2 = half * half
+    eps, tiny = mp.eps, mpf("1e-40")
     for k in range(1000):
         t = -t * h2 / ((k + 1) * (nu_m + k + 1))
         total += t
-        if abs(t) <= mp.eps * (abs(total) + mpf("1e-40")):
+        if abs(t) <= eps * (abs(total) + tiny):
             return total
     raise ConvergenceError("mp series did not converge", partial=total, terms=1000)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from herglotz.extract import (
+    WORK_DPS,
     ExtractionRankError,
     RadialProfile,
     angular_decompose,
@@ -12,6 +14,8 @@ from herglotz.extract import (
     extract_magnitude_data,
     radial_grid,
     radial_unmix,
+    _mp_columns,
+    _mp_qr_solve,
 )
 from herglotz.field import (
     HerglotzField,
@@ -108,6 +112,55 @@ def test_radial_unmix_methods_agree():
         rb = radial_unmix(prof, 4, 2, method="taylor")
         for key in ra.gamma:
             assert rb.gamma[key] == pytest.approx(ra.gamma[key], abs=1e-8)
+
+
+@pytest.mark.parametrize("M,q", [(6, 0), (6, 6), (8, 0), (8, 2)])
+def test_qr_solve_error_against_120_digit_reference(M, q):
+    # a Bessel-product system with known solution, rounded to the working
+    # precision; the 120-digit solve of the rounded system shows the error the
+    # rounding alone causes
+    pairs = compatible_pairs(q, M, 2)
+    rng = np.random.default_rng(M + q)
+    with mp.workdps(120):
+        cols = _mp_columns(pairs, radial_grid(64), 2)
+        x = [mpf(v) for v in rng.standard_normal(len(pairs))]
+        rhs = [mp.fdot(row, x) for row in zip(*cols)]
+    with mp.workdps(WORK_DPS):
+        cols = [[+v for v in col] for col in cols]
+        rhs = [+v for v in rhs]
+        sol, cond, _, deficient = _mp_qr_solve(cols, rhs)
+    with mp.workdps(120):
+        ref, _ = mp.qr_solve(mp.matrix([list(row) for row in zip(*cols)]), mp.matrix(rhs))
+
+        def error(y):
+            return max(abs(y[j] - x[j]) for j in range(len(x))) / max(abs(v) for v in x)
+
+        assert not deficient and 1e2 < cond < 1e10
+        assert error(sol) <= 10 * error(ref)
+
+
+def test_qr_solve_reports_zero_and_dependent_columns():
+    with mp.workdps(WORK_DPS):
+        a = [mpf(t + 1) for t in range(12)]
+        b = [mpf((t - 5) ** 2) for t in range(12)]
+        zero = [mpf(0)] * 12
+        dependent = [ai + 2 * bi for ai, bi in zip(a, b)]
+        rhs = [mpf(t % 3) for t in range(12)]
+        sol, cond, _, deficient = _mp_qr_solve([a, zero, b, dependent], rhs)
+    assert deficient == [1, 3]
+    assert cond == math.inf
+    assert sol[1] == 0 and sol[3] == 0
+
+
+def test_qr_solve_doubles_with_its_right_hand_side():
+    rng = np.random.default_rng(4)
+    with mp.workdps(WORK_DPS):
+        cols = _mp_columns(compatible_pairs(2, 6, 2), radial_grid(40), 2)
+        rhs = [mpf(v) for v in rng.standard_normal(40)]
+        sol, _, res, _ = _mp_qr_solve(cols, rhs)
+        sol2, _, res2, _ = _mp_qr_solve(cols, [2 * v for v in rhs])
+        assert all(b == 2 * a for a, b in zip(sol, sol2))
+    assert res2 == 2 * res
 
 
 def test_radial_unmix_needs_enough_nodes():

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpc
 
+from herglotz.extract import angular_decompose, radial_grid
 from herglotz.field import (
     HerglotzField,
     add_fields,
@@ -155,6 +157,20 @@ def test_synthesis_identity_random_fields():
             assert np.abs(2 * math.pi * total - direct).max() < 1e-9
 
 
+@pytest.mark.parametrize("M", [0, 1, 4, 8])
+def test_synthesized_samples_equal_the_full_ascending_sum(M):
+    # a pair carries at most four frequencies; summing only those, in
+    # ascending order, gives the bits of the sum over all 4M + 1 of them
+    data = magnitude_coeffs(random_field(2, M, F2, seed=40 + M))
+    full = np.zeros((M + 1, M + 1, len(data.grid)), dtype=complex)
+    for k, q in enumerate(range(-2 * M, 2 * M + 1)):
+        full += data.table[:, :, k, None] * np.exp(1j * q * data.grid.angles)
+    for m in range(M + 1):
+        for n in range(M + 1):
+            bits = data.pair_samples(m, n).view(np.int64)
+            assert np.array_equal(bits, full[m, n].real.view(np.int64))
+
+
 def test_equal_magnitude_trivial_transforms():
     rng = np.random.default_rng(7)
     for trial in range(100):
@@ -304,6 +320,32 @@ def test_sample_magnitude_shapes():
     gh = sample_magnitude(u, radii, 9, dps=30)
     assert gh.values.dtype == object
     assert float(gh.values[1, 3]) == pytest.approx(g.values[1, 3], rel=1e-12)
+
+
+def test_sample_magnitude_mp_against_independent_evaluation():
+    u = random_field(2, 5, F2, seed=62)
+    radii = radial_grid(10)
+    Q = 11
+    g = sample_magnitude(u, radii, Q, dps=40)
+    double = sample_magnitude(u, radii, Q).values
+    scale = np.abs(double).max()
+    with mp.workdps(40):
+        for ri, r in enumerate(radii):
+            for k in range(Q):
+                theta = 2 * mp.pi * k / Q
+                f = mpc(u.coeffs[0][0]) * mp.besselj(0, r)
+                for m in range(1, 6):
+                    c_plus, c_minus = u.coeffs[m]
+                    wave = c_plus * mp.expj(m * theta) + c_minus * mp.expj(-m * theta)
+                    f += wave * mp.besselj(m, r)
+                ref = 2 * mp.pi * abs(f) ** 2
+                assert abs(g.values[ri, k] - ref) <= 1e-35 * scale
+    assert np.abs(g.values.astype(float) - double).max() <= 1e-13 * scale
+    # the mp DFT of the 40-digit samples against numpy's on their double cast
+    coef = np.fft.fft(g.values.astype(float), axis=1) / Q
+    for prof in angular_decompose(g, 2):
+        mp_values = prof.values.astype(complex)
+        assert np.abs(mp_values - coef[:, prof.frequency]).max() <= 1e-14 * scale
 
 
 def test_field_validation():
