@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from . import fileio, harmonics, specfun
-from .extract import extract_magnitude_data, radial_grid
+from .extract import NonZonalDataError, extract_magnitude_data, radial_grid
 from .field import (
     comparison_tol,
     degree_power,
@@ -21,7 +21,7 @@ from .field import (
     sample_magnitude,
     trivially_equivalent,
 )
-from .fileio import FileFormatError, _fmt
+from .fileio import _fmt
 from .harmonics import BasisSpec
 from .retrieve import (
     BranchNotApplicableError,
@@ -98,13 +98,8 @@ def cmd_extract(args) -> int:
     scale = 1.0 + float(np.max(np.abs(np.asarray(grid.values, dtype=float))))
     for rep in reports:
         if rep.residual > 1e-9 * scale or any("condition" in w for w in rep.warnings):
-            for w in rep.warnings:
+            for w in rep.warnings or [f"residual {rep.residual:.3e}"]:
                 print(f"warning: component {rep.frequency}: {w}", file=sys.stderr)
-            if not rep.warnings and rep.residual > 1e-9 * scale:
-                print(
-                    f"warning: component {rep.frequency}: residual {rep.residual:.3e}",
-                    file=sys.stderr,
-                )
     return EXIT_OK
 
 
@@ -151,9 +146,7 @@ def cmd_retrieve(args) -> int:
                 try:
                     result = solvers[name]()
                     break
-                except BranchNotApplicableError as e:
-                    last = e
-                except InconsistentDataError as e:
+                except (BranchNotApplicableError, InconsistentDataError) as e:
                     last = e
             if result is None:
                 if isinstance(last, InconsistentDataError):
@@ -254,21 +247,21 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--zero-mean", action="store_true")
     g.add_argument("--all-r", action="store_true")
     g.add_argument("--out", required=True)
-    g.set_defaults(fn=cmd_gen)
+    g.set_defaults(run=cmd_gen)
 
     s = sub.add_parser("sample", help="sample |u|^2 on a polar grid")
     s.add_argument("field")
     s.add_argument("--radial-nodes", type=int, default=48)
     s.add_argument("--angular-nodes", type=int)
     s.add_argument("--out", required=True)
-    s.set_defaults(fn=cmd_sample)
+    s.set_defaults(run=cmd_sample)
 
     e = sub.add_parser("extract", help="recover magnitude data from grid samples")
     e.add_argument("grid")
     e.add_argument("--max-degree", type=int)
     e.add_argument("--basis", choices=["zonal", "palpha"])
     e.add_argument("--out", required=True)
-    e.set_defaults(fn=cmd_extract)
+    e.set_defaults(run=cmd_extract)
 
     r = sub.add_parser("retrieve", help="reconstruct a field from magnitude data")
     r.add_argument("data", help="magnitude-data file or magnitude-grid file")
@@ -277,17 +270,17 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--basis", choices=["zonal", "palpha"])
     r.add_argument("--tol", type=float, default=1e-6)
     r.add_argument("--out", required=True)
-    r.set_defaults(fn=cmd_retrieve)
+    r.set_defaults(run=cmd_retrieve)
 
     v = sub.add_parser("verify", help="compare two fields")
     v.add_argument("field_a")
     v.add_argument("field_b")
-    v.set_defaults(fn=cmd_verify)
+    v.set_defaults(run=cmd_verify)
 
     c = sub.add_parser("canon", help="canonicalize a field file")
     c.add_argument("field")
     c.add_argument("--out", required=True)
-    c.set_defaults(fn=cmd_canon)
+    c.set_defaults(run=cmd_canon)
 
     f = sub.add_parser("specfun", help="evaluate the special functions")
     fsub = f.add_subparsers(dest="fn", required=True)
@@ -309,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--alpha", type=float, default=0.0)
         sp.add_argument("--r", type=float, required=True)
     pi.add_argument("--quad-points", type=int, default=512)
-    f.set_defaults(fn_dispatch=cmd_specfun)
+    f.set_defaults(run=cmd_specfun)
     return parser
 
 
@@ -317,23 +310,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "specfun":
-            return cmd_specfun(args)
-        return args.fn(args)
-    except FileFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except BranchNotApplicableError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BRANCH
+        return args.run(args)
     except InconsistentDataError as e:
         extra = f" (residual {e.residual:.3e})" if e.residual is not None else ""
         print(f"error: inconsistent data: {e}{extra}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except ValueError as e:
+    except (BranchNotApplicableError, NonZonalDataError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_BRANCH
+    except (FileNotFoundError, ValueError) as e:  # FileFormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -42,6 +42,10 @@ class ExtractionRankError(RuntimeError):
         self.pairs = pairs
 
 
+class NonZonalDataError(ValueError):
+    """d = 3 samples depend on the azimuth, so no sampled extraction applies."""
+
+
 @dataclass
 class RadialProfile:
     """One angular component of the magnitude samples as a function of radius."""
@@ -127,8 +131,14 @@ def angular_decompose(samples: MagnitudeGrid, d: int) -> list:
         npol = len(grid.polar_t)
         cube = vals.reshape(len(samples.radii), npol, naz)
         spread = np.abs(cube - cube.mean(axis=2, keepdims=True)).max()
-        if spread > 1e-8 * (1 + np.abs(vals).max()):
-            raise ValueError("d=3 samples are not zonal (azimuth-dependent)")
+        threshold = 1e-8 * (1 + np.abs(vals).max())
+        if spread > threshold:
+            raise NonZonalDataError(
+                f"d=3 samples are not zonal: azimuthal spread {spread:.3e} exceeds "
+                f"1e-8 * (1 + max|values|) = {threshold:.3e}; per-component Bessel-product "
+                "dictionaries are rank-deficient for q >= 2, so only zonal d = 3 data "
+                "can be extracted from samples"
+            )
         zone = cube.mean(axis=2)  # (nr, npol)
         t, w = np.polynomial.legendre.leggauss(npol)
         qmax = npol - 1

@@ -4,6 +4,7 @@ All numbers are serialized with 17 significant digits so that write/read
 round trips are bit-faithful; writes are atomic (temp file + rename).
 """
 
+import math
 import os
 import tempfile
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from . import harmonics
 from .field import HerglotzField, MagnitudeData, MagnitudeGrid, pair_frequencies
-from .harmonics import BasisSpec, harmonic_dim, sphere_grid
+from .harmonics import BasisSpec, SphereGrid, harmonic_dim, sphere_grid
 
 FIELD_MAGIC = "herglotz-field 1"
 DATA_MAGIC = "herglotz-magnitude-data 1"
@@ -69,74 +70,73 @@ def write_field(path: str, u: HerglotzField):
     atomic_write(path, field_to_text(u))
 
 
-class _Parser:
-    def __init__(self, text):
-        self.rows = []
-        for i, raw in enumerate(text.splitlines(), start=1):
-            s = raw.strip()
-            if not s or s.startswith("#"):
-                continue
-            self.rows.append((i, s))
+def _read_records(text: str, magic: str, required: tuple, body):
+    """Read a keyed-record file: the magic line, then one record per line.
 
-    def expect_magic(self, magic):
-        if not self.rows or self.rows[0][1] != magic:
-            line = self.rows[0][0] if self.rows else 1
-            raise FileFormatError(f"expected header {magic!r}", line)
-        self.rows = self.rows[1:]
-
-
-def _parse_keyed(rows):
-    for i, s in rows:
-        parts = s.split()
-        yield i, parts[0], parts[1:]
-
-
-def _build_basis(kind, dim, normalization, poles, line=1):
-    try:
-        table = {}
-        for m, entries in poles.items():
-            n = harmonic_dim(dim, m)
-            arr = np.zeros((n, dim))
-            for j, vec in entries.items():
-                arr[j - 1] = vec
-            table[m] = arr
-        return BasisSpec(kind, dim, normalization, table)
-    except ValueError as e:
-        raise FileFormatError(str(e), line)
-
-
-def parse_field(text: str) -> HerglotzField:
-    p = _Parser(text)
-    p.expect_magic(FIELD_MAGIC)
-    dim = max_degree = None
+    The integer headers among ``required`` and the basis block (``basis``,
+    ``normalization``, ``pole``) are read here; every other record goes to
+    ``body(line, key, args)``, which returns False for a key it does not know.
+    Returns the integer headers by name and the basis, or None without one.
+    """
+    rows = []
+    for i, raw in enumerate(text.splitlines(), start=1):
+        s = raw.strip()
+        if s and not s.startswith("#"):
+            rows.append((i, s))
+    if not rows or rows[0][1] != magic:
+        raise FileFormatError(f"expected header {magic!r}", rows[0][0] if rows else 1)
+    head = {key: None for key in required if key != "basis"}
     kind = normalization = None
     poles: dict = {}
-    entries = []
-    for i, key, args in _parse_keyed(p.rows):
+    for i, s in rows[1:]:
+        key, *args = s.split()
         try:
-            if key == "dim":
-                dim = int(args[0])
-            elif key == "max_degree":
-                max_degree = int(args[0])
+            if key in head:
+                head[key] = int(args[0])
             elif key == "basis":
                 kind = args[0]
             elif key == "normalization":
                 normalization = args[0]
             elif key == "pole":
                 m, j = int(args[0]), int(args[1])
-                poles.setdefault(m, {})[j] = [float(x) for x in args[2:]]
-            elif key == "coeff":
-                m, j = int(args[0]), int(args[1])
-                entries.append((i, m, j, float(args[2]), float(args[3])))
-            else:
+                poles.setdefault(m, {})[j] = (i, [float(x) for x in args[2:]])
+            elif not body(i, key, args):
                 raise FileFormatError(f"unknown key {key!r}", i)
+        except FileFormatError:
+            raise
         except (IndexError, ValueError) as e:
-            if isinstance(e, FileFormatError):
-                raise
             raise FileFormatError(f"malformed {key!r} record: {e}", i)
-    if dim is None or max_degree is None or kind is None:
-        raise FileFormatError("missing dim / max_degree / basis header")
-    basis = _build_basis(kind, dim, normalization or harmonics.RAW, poles)
+    if None in head.values() or ("basis" in required and kind is None):
+        raise FileFormatError(f"missing {' / '.join(required)} header")
+    if kind is None:
+        return head, None
+    dim = head["dim"]
+    try:
+        table = {}
+        for m, entries in poles.items():
+            table[m] = np.zeros((harmonic_dim(dim, m), dim))
+            for j, (i, vec) in entries.items():
+                if not 1 <= j <= len(table[m]):
+                    raise FileFormatError(f"pole index {j} out of range for degree {m}", i)
+                table[m][j - 1] = vec
+        return head, BasisSpec(kind, dim, normalization or harmonics.RAW, table)
+    except FileFormatError:
+        raise
+    except ValueError as e:
+        raise FileFormatError(str(e), 1)
+
+
+def parse_field(text: str) -> HerglotzField:
+    entries = []
+
+    def body(i, key, args):
+        if key != "coeff":
+            return False
+        entries.append((i, int(args[0]), int(args[1]), float(args[2]), float(args[3])))
+        return True
+
+    head, basis = _read_records(text, FIELD_MAGIC, ("dim", "max_degree", "basis"), body)
+    dim, max_degree = head["dim"], head["max_degree"]
     coeffs = [np.zeros(harmonic_dim(dim, m), dtype=complex) for m in range(max_degree + 1)]
     for i, m, j, re, im in entries:
         if not 0 <= m <= max_degree:
@@ -156,25 +156,30 @@ def read_field(path: str) -> HerglotzField:
 # magnitude grid (delimited text)
 
 
-def grid_to_text(g: MagnitudeGrid) -> str:
-    lines = ["r,theta,value" if g.dim == 2 else "r,theta,phi,value"]
-    vals = g.values
-    if g.dim == 2:
-        angles = g.grid.angles
-        for i, r in enumerate(g.radii):
-            for q, t in enumerate(angles):
-                lines.append(f"{_fmt(r)},{_fmt(t)},{_fmt(vals[i, q])}")
-    else:
-        t = g.grid.polar_t
-        naz = g.grid.azimuth_count
-        polar = np.arccos(t)
+_GRID_HEADERS = {2: "r,theta,value", 3: "r,theta,phi,value"}
+
+
+def _grid_angles(grid: SphereGrid) -> np.ndarray:
+    """Angle columns of a magnitude grid file, one row per node in file order.
+
+    d = 2: theta of each uniform node; d = 3: (theta, phi) over the Gauss
+    polar nodes (outer) crossed with the uniform azimuths (inner).
+    """
+    if grid.dim == 2:
+        return grid.angles[:, None]
+    if grid.dim == 3:
+        naz = grid.azimuth_count
         phis = 2 * np.pi * np.arange(naz) / naz
-        for i, r in enumerate(g.radii):
-            k = 0
-            for th in polar:
-                for ph in phis:
-                    lines.append(f"{_fmt(r)},{_fmt(th)},{_fmt(ph)},{_fmt(vals[i, k])}")
-                    k += 1
+        polar = np.arccos(grid.polar_t)
+        return np.column_stack([np.repeat(polar, naz), np.tile(phis, len(polar))])
+    raise ValueError(f"magnitude grid files hold d = 2 or 3 samples, not d = {grid.dim}")
+
+
+def grid_to_text(g: MagnitudeGrid) -> str:
+    angles = [",".join(map(_fmt, a)) for a in _grid_angles(g.grid)]
+    lines = [_GRID_HEADERS[g.dim]]
+    for r, vals in zip(map(_fmt, g.radii), g.values):
+        lines += [f"{r},{a},{_fmt(v)}" for a, v in zip(angles, vals)]
     return "\n".join(lines) + "\n"
 
 
@@ -183,17 +188,15 @@ def write_grid(path: str, g: MagnitudeGrid):
 
 
 def parse_grid(text: str) -> MagnitudeGrid:
+    """Read a grid file; its rows must run radius-major over the sphere_grid nodes."""
     lines = text.splitlines()
     if not lines:
         raise FileFormatError("empty grid file")
     header = lines[0].strip()
-    if header == "r,theta,value":
-        dim = 2
-    elif header == "r,theta,phi,value":
-        dim = 3
-    else:
+    dim = next((d for d, h in _GRID_HEADERS.items() if h == header), None)
+    if dim is None:
         raise FileFormatError(f"unrecognized grid header {header!r}", 1)
-    rows = []
+    rows, line_nos = [], []
     for i, raw in enumerate(lines[1:], start=2):
         s = raw.strip()
         if not s:
@@ -205,6 +208,7 @@ def parse_grid(text: str) -> MagnitudeGrid:
             rows.append([float(x) for x in parts])
         except ValueError as e:
             raise FileFormatError(f"bad number: {e}", i)
+        line_nos.append(i)
     if not rows:
         raise FileFormatError("grid file has no data rows")
     arr = np.array(rows)
@@ -212,31 +216,26 @@ def parse_grid(text: str) -> MagnitudeGrid:
     for r in arr[:, 0]:
         if not radii or r != radii[-1]:
             radii.append(r)
-    radii = np.array(radii)
     n_nodes = len(arr) // len(radii)
     if len(arr) != n_nodes * len(radii):
         raise FileFormatError("grid rows do not factor into radii x angular nodes")
-    values = arr[:, -1].reshape(len(radii), n_nodes)
-    if dim == 2:
-        angles = arr[:n_nodes, 1]
-        grid = sphere_grid(2, n_nodes)
-        if not np.allclose(np.sort(angles % (2 * np.pi)), grid.angles, atol=1e-9):
-            grid = harmonics.SphereGrid(
-                2,
-                np.stack([np.cos(angles), np.sin(angles)], axis=1),
-                np.full(n_nodes, 2 * np.pi / n_nodes),
-                angles=angles,
-            )
-        return MagnitudeGrid(2, radii, grid, values)
-    thetas = arr[:n_nodes, 1]
-    npol = len(np.unique(np.round(thetas, 12)))
-    if npol == 0 or n_nodes % npol:
+    # a d = 3 grid of resolution n has n polar nodes and 2n azimuths
+    res = n_nodes if dim == 2 else math.isqrt(n_nodes // 2)
+    if dim == 3 and 2 * res * res != n_nodes:
         raise FileFormatError("d=3 grid nodes do not factor into polar x azimuth")
-    grid = sphere_grid(3, npol)
-    t_file = np.cos(thetas.reshape(npol, -1)[:, 0])
-    if not np.allclose(np.sort(t_file), np.sort(grid.polar_t), atol=1e-9):
-        raise FileFormatError("d=3 grid polar nodes are not the Gauss-Legendre nodes")
-    return MagnitudeGrid(3, radii, grid, values)
+    grid = sphere_grid(dim, res)
+    layout = np.column_stack(
+        [np.repeat(radii, n_nodes), np.tile(_grid_angles(grid), (len(radii), 1))]
+    )
+    off = np.flatnonzero(np.any(np.abs(arr[:, :-1] - layout) > 1e-9, axis=1))
+    if off.size:
+        k = off[0]
+        raise FileFormatError(
+            f"row is off the grid layout: expected {header.removesuffix(',value')} = "
+            f"{','.join(map(_fmt, layout[k]))}, got {','.join(map(_fmt, arr[k, :-1]))}",
+            line_nos[k],
+        )
+    return MagnitudeGrid(dim, np.array(radii), grid, arr[:, -1].reshape(len(radii), n_nodes))
 
 
 def read_grid(path: str) -> MagnitudeGrid:
@@ -273,51 +272,28 @@ def write_data(path: str, data: MagnitudeData, basis: BasisSpec | None = None):
 
 def parse_data(text: str):
     """Returns (MagnitudeData, BasisSpec or None)."""
-    p = _Parser(text)
-    p.expect_magic(DATA_MAGIC)
-    dim = max_degree = res = None
-    kind = normalization = None
-    poles: dict = {}
     pair = None
     fourier: dict = {}
     samples: dict = {}
-    for i, key, args in _parse_keyed(p.rows):
-        try:
-            if key == "dim":
-                dim = int(args[0])
-            elif key == "max_degree":
-                max_degree = int(args[0])
-            elif key == "grid":
-                res = int(args[0])
-            elif key == "basis":
-                kind = args[0]
-            elif key == "normalization":
-                normalization = args[0]
-            elif key == "pole":
-                m, j = int(args[0]), int(args[1])
-                poles.setdefault(m, {})[j] = [float(x) for x in args[2:]]
-            elif key == "pair":
-                pair = (int(args[0]), int(args[1]))
-                fourier.setdefault(pair, {})
-            elif key == "fourier":
-                if pair is None:
-                    raise FileFormatError("fourier record before any pair", i)
-                q = int(args[0])
-                fourier[pair][q] = float(args[1]) + 1j * float(args[2])
-            elif key == "samples":
-                if pair is None:
-                    raise FileFormatError("samples record before any pair", i)
-                samples[pair] = np.array([float(x) for x in args])
-            else:
-                raise FileFormatError(f"unknown key {key!r}", i)
-        except (IndexError, ValueError) as e:
-            if isinstance(e, FileFormatError):
-                raise
-            raise FileFormatError(f"malformed {key!r} record: {e}", i)
-    if dim is None or max_degree is None or res is None:
-        raise FileFormatError("missing dim / max_degree / grid header")
-    grid = sphere_grid(dim, res)
-    M = max_degree
+
+    def body(i, key, args):
+        nonlocal pair
+        if key == "pair":
+            pair = (int(args[0]), int(args[1]))
+            fourier.setdefault(pair, {})
+        elif key not in ("fourier", "samples"):
+            return False
+        elif pair is None:
+            raise FileFormatError(f"{key} record before any pair", i)
+        elif key == "fourier":
+            fourier[pair][int(args[0])] = float(args[1]) + 1j * float(args[2])
+        else:
+            samples[pair] = np.array([float(x) for x in args])
+        return True
+
+    head, basis = _read_records(text, DATA_MAGIC, ("dim", "max_degree", "grid"), body)
+    dim, M = head["dim"], head["max_degree"]
+    grid = sphere_grid(dim, head["grid"])
     for (m, n) in fourier:
         if not 0 <= m <= n <= M:
             raise FileFormatError(f"pair {m} {n} is not in 0 <= m <= n <= {M}")
@@ -336,11 +312,7 @@ def parse_data(text: str):
                     f"pair {(m, n)} has {len(vals)} samples, grid has {len(grid)}"
                 )
             table[m, n] = vals
-    data = MagnitudeData(dim, grid, table)
-    basis = None
-    if kind is not None:
-        basis = _build_basis(kind, dim, normalization or harmonics.RAW, poles)
-    return data, basis
+    return MagnitudeData(dim, grid, table), basis
 
 
 def read_data(path: str):

@@ -222,7 +222,10 @@ def default_poles(d: int, m: int, min_sv: float = 1e-3, max_attempts: int = 60) 
     n = harmonic_dim(d, m)
     if m == 0 or n == 1:
         return np.eye(d)[d - 1][None, :]
-    grid = sphere_grid(d, max(4 * m + 4, 12))
+    # The squares have degree 2m, so their Gram matrix needs a rule exact to
+    # degree 4m; sphere_grid(d, n) is exact to polar and azimuthal degree
+    # 2n - 1 (for d = 4 the first coordinate uses Chebyshev-U nodes).
+    grid = sphere_grid(d, 2 * m + 1)
     best = None
     for attempt in range(max_attempts):
         pts = _candidate_poles(d, m, attempt)

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole module also runs as part of the plain test suite.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -42,6 +43,7 @@ from herglotz.specfun import bessel_j, bessel_product_integral, bessel_product_s
 F2 = fourier2d_basis()
 Z3 = BasisSpec("zonal", 3)
 P3 = BasisSpec("palpha", 3)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _report(criterion, ok, detail):
@@ -290,6 +292,9 @@ def test_criterion_9_support_verifier():
 
 
 def test_criterion_10_cli_pipeline(tmp_path):
+    # the stages are fresh interpreters: give them this checkout's sources
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     failures = []
     for seed in range(1, 11):
         base = tmp_path / f"s{seed}"
@@ -307,6 +312,7 @@ def test_criterion_10_cli_pipeline(tmp_path):
                 [sys.executable, "-m", "herglotz.cli", *cmd],
                 capture_output=True,
                 text=True,
+                env=env,
             )
             if proc.returncode != 0:
                 failures.append((seed, cmd[0], proc.returncode, proc.stderr[-200:]))

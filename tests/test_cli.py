@@ -241,3 +241,153 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--dim", "2"])  # missing --out
     assert exc.value.code == 1
+
+
+
+def _edit(text, lineno, new):
+    """Replace line ``lineno`` (1-based); an empty replacement keeps the numbering."""
+    lines = text.splitlines()
+    lines[lineno - 1] = new
+    return "\n".join(lines) + "\n"
+
+
+def _swap(text, a, b):
+    lines = text.splitlines()
+    lines[a - 1], lines[b - 1] = lines[b - 1], lines[a - 1]
+    return "\n".join(lines) + "\n"
+
+
+_U3 = random_field(3, 1, BasisSpec("zonal", 3), seed=4)
+_U2 = random_field(2, 1, fourier2d_basis(), seed=5)
+_FIELD = fileio.field_to_text(_U3)
+_DATA2 = fileio.data_to_text(magnitude_coeffs(_U2))
+_DATA3 = fileio.data_to_text(magnitude_coeffs(_U3), _U3.basis)
+_GRID2 = fileio.grid_to_text(sample_magnitude(_U2, radial_grid(2), 3))
+_GRID3 = fileio.grid_to_text(sample_magnitude(_U3, radial_grid(2), 2))
+_BROADCAST = "line 1: could not broadcast input array from shape (4,) into shape (3,)"
+
+
+@pytest.mark.parametrize("lineno, new, message", [
+    pytest.param(1, "herglotz-field 2", "line 1: expected header 'herglotz-field 1'", id="magic"),
+    pytest.param(13, "colour red", "line 13: unknown key 'colour'", id="unknown-key"),
+    pytest.param(13, "grid 8", "line 13: unknown key 'grid'", id="grid-record"),
+    pytest.param(10, "coeff 0 1 x 0",
+                 "line 10: malformed 'coeff' record: could not convert string to float: 'x'",
+                 id="coeff-number"),
+    pytest.param(10, "coeff 0 1 1.0", "line 10: malformed 'coeff' record: list index out of range",
+                 id="coeff-short"),
+    pytest.param(10, "coeff 0 9 1.0 0.0", "line 10: coefficient index 9 out of range for degree 0",
+                 id="coeff-index"),
+    pytest.param(7, "pole 1", "line 7: malformed 'pole' record: list index out of range",
+                 id="pole-short"),
+    pytest.param(2, "", "missing dim / max_degree / basis header", id="no-dim"),
+    pytest.param(4, "", "missing dim / max_degree / basis header", id="no-basis"),
+    pytest.param(4, "basis cubic", "line 1: unknown basis kind 'cubic'", id="basis-kind"),
+    pytest.param(7, "pole 1 1 0 0 0 1", _BROADCAST, id="pole-shape"),
+    pytest.param(7, "pole 1 1 0 0 2", "line 1: pole table for degree 1 contains non-unit vectors",
+                 id="pole-norm"),
+    # the parent's reader let an IndexError out here
+    pytest.param(7, "pole 1 4 0 0 1", "line 7: pole index 4 out of range for degree 1",
+                 id="pole-index-high"),
+    pytest.param(7, "pole 1 0 0 0 1", "line 7: pole index 0 out of range for degree 1",
+                 id="pole-index-zero"),
+])
+def test_field_reader_errors(lineno, new, message):
+    with pytest.raises(FileFormatError) as exc:
+        fileio.parse_field(_edit(_FIELD, lineno, new))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, lineno, new, message", [
+    pytest.param(_DATA2, 1, "herglotz-field 1",
+                 "line 1: expected header 'herglotz-magnitude-data 1'", id="magic"),
+    pytest.param(_DATA2, 13, "colour red", "line 13: unknown key 'colour'", id="unknown-key"),
+    pytest.param(_DATA2, 13, "coeff 0 1 1.0 0.0", "line 13: unknown key 'coeff'",
+                 id="coeff-record"),
+    pytest.param(_DATA2, 6, "fourier 0 x 0",
+                 "line 6: malformed 'fourier' record: could not convert string to float: 'x'",
+                 id="fourier-number"),
+    pytest.param(_DATA2, 6, "fourier 0 1.0",
+                 "line 6: malformed 'fourier' record: list index out of range", id="fourier-short"),
+    pytest.param(_DATA2, 7, "pair 0", "line 7: malformed 'pair' record: list index out of range",
+                 id="pair-short"),
+    pytest.param(_DATA2, 4, "", "missing dim / max_degree / grid header", id="no-grid"),
+    pytest.param(_DATA2, 4, "grid 9.5",
+                 "line 4: malformed 'grid' record: invalid literal for int() with base 10: '9.5'",
+                 id="grid-number"),
+    pytest.param(_DATA2, 5, "", "line 6: fourier record before any pair", id="fourier-first"),
+    pytest.param(_DATA3, 11, "", "line 12: samples record before any pair", id="samples-first"),
+    pytest.param(_DATA3, 12, "samples 1 x",
+                 "line 12: malformed 'samples' record: could not convert string to float: 'x'",
+                 id="samples-number"),
+    pytest.param(_DATA3, 12, "samples 1 2", "pair (0, 0) has 2 samples, grid has 128",
+                 id="samples-count"),
+    pytest.param(_DATA3, 8, "pole 1", "line 8: malformed 'pole' record: list index out of range",
+                 id="pole-short"),
+    pytest.param(_DATA3, 8, "pole 1 1 0 0 0 1", _BROADCAST, id="pole-shape"),
+])
+def test_data_reader_errors(text, lineno, new, message):
+    with pytest.raises(FileFormatError) as exc:
+        fileio.parse_data(_edit(text, lineno, new))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("", "empty grid file", id="empty"),
+    pytest.param(_edit(_GRID2, 1, "r,value"), "line 1: unrecognized grid header 'r,value'",
+                 id="header"),
+    pytest.param(_edit(_GRID2, 3, "0.5,1.0"), "line 3: expected 3 fields, got 2", id="fields-d2"),
+    pytest.param(_edit(_GRID3, 3, "0.5,1.0,2.0"), "line 3: expected 4 fields, got 3",
+                 id="fields-d3"),
+    pytest.param(_edit(_GRID2, 3, "0.5,x,1"),
+                 "line 3: bad number: could not convert string to float: 'x'", id="number"),
+    pytest.param("r,theta,value\n", "grid file has no data rows", id="no-rows"),
+    pytest.param(_edit(_GRID2, 7, ""), "grid rows do not factor into radii x angular nodes",
+                 id="factor"),
+    # rows in another order than the grid layout; the parent's reader took them
+    pytest.param(_swap(_GRID2, 3, 4),
+                 "line 3: row is off the grid layout: expected r,theta = "
+                 "0.18912427893638994,2.0943951023931953, "
+                 "got 0.18912427893638994,4.1887902047863905", id="swap-d2"),
+    pytest.param(_swap(_GRID3, 3, 7),
+                 "line 3: row is off the grid layout: expected r,theta,phi = "
+                 "0.18912427893638994,2.1862760354652839,1.5707963267948966, "
+                 "got 0.18912427893638994,0.9553166181245093,1.5707963267948966", id="swap-d3"),
+])
+def test_grid_reader_errors(text, message):
+    with pytest.raises(FileFormatError) as exc:
+        fileio.parse_grid(text)
+    assert str(exc.value) == message
+
+
+def test_swapped_grid_rows_exit_1(tmp_path, capsys):
+    f, g, d = (tmp_path / n for n in ("u.field", "u.grid", "u.data"))
+    assert run(["gen", "--dim", "2", "--max-degree", "3", "--seed", "7", "--out", str(f)]) == 0
+    assert run(["sample", str(f), "--radial-nodes", "24", "--out", str(g)]) == 0
+    g.write_text(_swap(g.read_text(), 5, 6))
+    capsys.readouterr()
+    assert run(["extract", str(g), "--max-degree", "3", "--out", str(d)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 5: row is off the grid layout")
+    assert not d.exists()
+
+
+def test_sample_d4_exits_1(tmp_path, capsys):
+    f, g = tmp_path / "u.field", tmp_path / "u.grid"
+    assert run(["gen", "--dim", "4", "--zonal", "--max-degree", "2", "--out", str(f)]) == 0
+    capsys.readouterr()
+    assert run(["sample", str(f), "--radial-nodes", "4", "--out", str(g)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: magnitude grid files hold d = 2 or 3 samples, not d = 4\n"
+    assert not g.exists()
+
+
+def test_extract_d3_nonzonal_exits_3(tmp_path, capsys):
+    f, g, d = (tmp_path / n for n in ("u.field", "u.grid", "u.data"))
+    assert run(["gen", "--dim", "3", "--max-degree", "2", "--seed", "1", "--out", str(f)]) == 0
+    assert run(["sample", str(f), "--radial-nodes", "12", "--out", str(g)]) == 0
+    capsys.readouterr()
+    assert run(["extract", str(g), "--out", str(d)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: d=3 samples are not zonal: azimuthal spread ")
+    assert "only zonal d = 3 data" in err
+    assert not d.exists()
