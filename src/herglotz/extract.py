@@ -179,13 +179,19 @@ def compatible_pairs(q: int, M: int, d: int) -> list:
 # per-profile unmixing (arbitrary precision internals)
 
 
-def _mp_columns(pairs, radii, d):
-    """Column functions 2 pi r^{-(d-2)} J_{nu(m)} J_{nu(n)} at the radii, as mpf lists."""
-    orders = sorted({m for p in pairs for m in p})
+def _bessel_rows(orders, radii, d):
+    """J_{nu(m)} at the radii for each order m, and the prefactors
+    2 pi r^{-(d-2)}, as mpf lists at the working precision."""
     jcache = {
         m: [bessel_j_mp(nu_order(m, d), mpf(r)) for r in radii] for m in orders
     }
     pref = [2 * mp.pi / mpf(r) ** (d - 2) for r in radii]
+    return jcache, pref
+
+
+def _mp_columns(pairs, radii, d):
+    """Column functions 2 pi r^{-(d-2)} J_{nu(m)} J_{nu(n)} at the radii, as mpf lists."""
+    jcache, pref = _bessel_rows(sorted({m for p in pairs for m in p}), radii, d)
     cols = []
     for (m, n) in pairs:
         cols.append([pref[i] * jcache[m][i] * jcache[n][i] for i in range(len(radii))])
@@ -385,11 +391,7 @@ def _extract_3d_joint(profiles, M, grid):
     used = [p for p in profiles if p.frequency <= 2 * M]
     rest = [p for p in profiles if p.frequency > 2 * M]
     with mp.workdps(WORK_DPS):
-        orders = sorted({m for p in pairs for m in p})
-        jcache = {
-            m: [bessel_j_mp(nu_order(m, 3), mpf(r)) for r in radii] for m in orders
-        }
-        pref = [2 * mp.pi / mpf(r) for r in radii]
+        jcache, pref = _bessel_rows(range(M + 1), radii, 3)
         cols = [[] for _ in pairs]
         rhs = []
         for prof in used:

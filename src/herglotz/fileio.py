@@ -86,7 +86,7 @@ def _read_records(text: str, magic: str, required: tuple, body):
     if not rows or rows[0][1] != magic:
         raise FileFormatError(f"expected header {magic!r}", rows[0][0] if rows else 1)
     head = {key: None for key in required if key != "basis"}
-    kind = normalization = None
+    kind = normalization = kind_line = None
     poles: dict = {}
     for i, s in rows[1:]:
         key, *args = s.split()
@@ -94,9 +94,13 @@ def _read_records(text: str, magic: str, required: tuple, body):
             if key in head:
                 head[key] = int(args[0])
             elif key == "basis":
-                kind = args[0]
+                kind, kind_line = args[0], i
+                if kind not in harmonics.KINDS:
+                    raise FileFormatError(f"unknown basis kind {kind!r}", i)
             elif key == "normalization":
                 normalization = args[0]
+                if normalization not in harmonics.NORMALIZATIONS:
+                    raise FileFormatError(f"unknown normalization {normalization!r}", i)
             elif key == "pole":
                 m, j = int(args[0]), int(args[1])
                 poles.setdefault(m, {})[j] = (i, [float(x) for x in args[2:]])
@@ -111,19 +115,24 @@ def _read_records(text: str, magic: str, required: tuple, body):
     if kind is None:
         return head, None
     dim = head["dim"]
-    try:
-        table = {}
-        for m, entries in poles.items():
-            table[m] = np.zeros((harmonic_dim(dim, m), dim))
-            for j, (i, vec) in entries.items():
-                if not 1 <= j <= len(table[m]):
-                    raise FileFormatError(f"pole index {j} out of range for degree {m}", i)
+    table = {}
+    for m, entries in poles.items():
+        table[m] = np.zeros((harmonic_dim(dim, m), dim))
+        for j, (i, vec) in entries.items():
+            if not 1 <= j <= len(table[m]):
+                raise FileFormatError(f"pole index {j} out of range for degree {m}", i)
+            try:
                 table[m][j - 1] = vec
+            except ValueError as e:
+                raise FileFormatError(str(e), i)
+            if abs(np.linalg.norm(table[m][j - 1]) - 1) > harmonics.SURFACE_TOL:
+                raise FileFormatError(f"pole table for degree {m} contains non-unit vectors", i)
+    try:
         return head, BasisSpec(kind, dim, normalization or harmonics.RAW, table)
-    except FileFormatError:
-        raise
     except ValueError as e:
-        raise FileFormatError(str(e), 1)
+        # what is left concerns the basis as a whole: its kind against dim,
+        # or poles missing from a degree's table
+        raise FileFormatError(str(e), kind_line)
 
 
 def parse_field(text: str) -> HerglotzField:
@@ -273,6 +282,8 @@ def write_data(path: str, data: MagnitudeData, basis: BasisSpec | None = None):
 def parse_data(text: str):
     """Returns (MagnitudeData, BasisSpec or None)."""
     pair = None
+    pair_lines: dict = {}
+    first_line: dict = {}
     fourier: dict = {}
     samples: dict = {}
 
@@ -280,23 +291,28 @@ def parse_data(text: str):
         nonlocal pair
         if key == "pair":
             pair = (int(args[0]), int(args[1]))
-            fourier.setdefault(pair, {})
+            pair_lines.setdefault(pair, i)
         elif key not in ("fourier", "samples"):
             return False
         elif pair is None:
             raise FileFormatError(f"{key} record before any pair", i)
         elif key == "fourier":
-            fourier[pair][int(args[0])] = float(args[1]) + 1j * float(args[2])
+            fourier.setdefault(pair, {})[int(args[0])] = float(args[1]) + 1j * float(args[2])
         else:
             samples[pair] = np.array([float(x) for x in args])
+        first_line.setdefault(key, i)
         return True
 
     head, basis = _read_records(text, DATA_MAGIC, ("dim", "max_degree", "grid"), body)
     dim, M = head["dim"], head["max_degree"]
     grid = sphere_grid(dim, head["grid"])
-    for (m, n) in fourier:
+    for (m, n) in pair_lines:
         if not 0 <= m <= n <= M:
             raise FileFormatError(f"pair {m} {n} is not in 0 <= m <= n <= {M}")
+    # d = 2 pairs carry Fourier coefficients, d >= 3 pairs one samples row
+    stray = "samples" if dim == 2 else "fourier"
+    if stray in first_line:
+        raise FileFormatError(f"{stray} record in a d = {dim} data file", first_line[stray])
     if dim == 2:
         table = np.zeros((M + 1, M + 1, 4 * M + 1), dtype=complex)
         for (m, n), tab in fourier.items():
@@ -306,6 +322,9 @@ def parse_data(text: str):
                 table[m, n, q + 2 * M] = c
     else:
         table = np.zeros((M + 1, M + 1, len(grid)))
+        for (m, n), i in pair_lines.items():
+            if (m, n) not in samples:
+                raise FileFormatError(f"pair {m} {n} has no samples record", i)
         for (m, n), vals in samples.items():
             if len(vals) != len(grid):
                 raise FileFormatError(

@@ -256,6 +256,8 @@ ZONAL = "zonal"
 PALPHA = "palpha"
 RAW = "raw"
 ORTHONORMAL = "orthonormal"
+KINDS = (FOURIER2D, ZONAL, PALPHA)
+NORMALIZATIONS = (RAW, ORTHONORMAL)
 
 
 @dataclass
@@ -275,9 +277,9 @@ class BasisSpec:
     _ortho_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in (FOURIER2D, ZONAL, PALPHA):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.normalization not in (RAW, ORTHONORMAL):
+        if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.kind == FOURIER2D and self.dim != 2:
             raise ValueError("fourier2d basis requires d = 2")

@@ -6,14 +6,31 @@ All evaluations use the power series in the standard normalization
     J_nu(r) = (r/2)^nu * sum_k (-1)^k / (k! Gamma(nu+k+1)) (r/2)^(2k)
 
 with negative integer orders handled through J_{-n} = (-1)^n J_n.
+
+bessel_j_mp, the arbitrary-precision series behind the extraction solvers and
+high-precision sampling, runs on raw libmp tuples with exactly the roundings
+of the mpf operators (round-to-nearest at mp.prec), so its values are those of
+the operator loop bit for bit at about half the cost. It reads mpmath's global
+precision context: parallelize across processes, not threads.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    from_man_exp,
+    mpf_abs,
+    mpf_add,
+    mpf_cmp,
+    mpf_div,
+    mpf_mul,
+    mpf_sub,
+    round_nearest,
+)
 
 
 def _is_half_integer(nu) -> bool:
@@ -259,26 +276,48 @@ def bessel_product_integral(n: int, m: int, alpha, r, quad_points: int = 512):
 
 # -- arbitrary-precision series (internal; used by the extraction solvers) --
 
+@lru_cache(maxsize=128)
+def _mp_series_constants(two_nu, prec):
+    """nu and Gamma(nu + 1) as mpf values, and the 1e-40 floor of the stop
+    test as a raw libmp value, computed at the working precision prec."""
+    nu = mpf(two_nu) / 2
+    return nu, mp.gamma(nu + 1), mpf("1e-40")._mpf_
+
+
 def bessel_j_mp(nu, r):
-    """J_nu(r) as an mpmath mpf at the current working precision."""
+    """J_nu(r) as an mpmath mpf at the current working precision.
+
+    The series runs on raw libmp tuples and makes exactly the roundings of the
+    mpf operator loop t = -t * h2 / ((k + 1) * (nu + k + 1)), total += t,
+    stopping once |t| <= eps * (|total| + 1e-40): the divisor is exact, the
+    sign of each term alternates (negation is exact and round-to-nearest is
+    symmetric), and eps * x is the exponent shift 2^(1 - prec).
+    """
     nu_f = validate_order(nu)
     if nu_f < 0:
         n = int(-nu_f)
         return mpf(-1) ** n * bessel_j_mp(n, r)
-    nu_m = mpf(2 * nu_f) / 2
     r = mpf(r)
     if r < 0:
         raise ValueError("r must be nonnegative")
     half = r / 2
     if half == 0:
         return mpf(1) if nu_f == 0 else mpf(0)
-    t = half**nu_m / mp.gamma(nu_m + 1)
-    total = t
-    h2 = half * half
-    eps, tiny = mp.eps, mpf("1e-40")
+    prec = mp.prec
+    two_nu = int(2 * nu_f)
+    nu_m, gamma, tiny = _mp_series_constants(two_nu, prec)
+    total = t = (half**nu_m / gamma)._mpf_
+    h2 = (half * half)._mpf_
+    shift = 1 - prec
+    rnd = round_nearest
     for k in range(1000):
-        t = -t * h2 / ((k + 1) * (nu_m + k + 1))
-        total += t
-        if abs(t) <= eps * (abs(total) + tiny):
-            return total
-    raise ConvergenceError("mp series did not converge", partial=total, terms=1000)
+        # |t| of the next term; its sign is (-1)^(k + 1)
+        t = mpf_div(mpf_mul(t, h2, prec, rnd),
+                    from_man_exp((k + 1) * (two_nu + 2 * k + 2), -1), prec, rnd)
+        total = (mpf_add if k & 1 else mpf_sub)(total, t, prec, rnd)
+        _, man, exp, bc = mpf_add(mpf_abs(total), tiny, prec, rnd)
+        if mpf_cmp(t, (0, man, exp + shift, bc)) <= 0:
+            return mp.make_mpf(total)
+    raise ConvergenceError(
+        "mp series did not converge", partial=mp.make_mpf(total), terms=1000
+    )

@@ -264,7 +264,7 @@ _DATA2 = fileio.data_to_text(magnitude_coeffs(_U2))
 _DATA3 = fileio.data_to_text(magnitude_coeffs(_U3), _U3.basis)
 _GRID2 = fileio.grid_to_text(sample_magnitude(_U2, radial_grid(2), 3))
 _GRID3 = fileio.grid_to_text(sample_magnitude(_U3, radial_grid(2), 2))
-_BROADCAST = "line 1: could not broadcast input array from shape (4,) into shape (3,)"
+_BROADCAST = "could not broadcast input array from shape (4,) into shape (3,)"
 
 
 @pytest.mark.parametrize("lineno, new, message", [
@@ -282,9 +282,9 @@ _BROADCAST = "line 1: could not broadcast input array from shape (4,) into shape
                  id="pole-short"),
     pytest.param(2, "", "missing dim / max_degree / basis header", id="no-dim"),
     pytest.param(4, "", "missing dim / max_degree / basis header", id="no-basis"),
-    pytest.param(4, "basis cubic", "line 1: unknown basis kind 'cubic'", id="basis-kind"),
-    pytest.param(7, "pole 1 1 0 0 0 1", _BROADCAST, id="pole-shape"),
-    pytest.param(7, "pole 1 1 0 0 2", "line 1: pole table for degree 1 contains non-unit vectors",
+    pytest.param(4, "basis cubic", "line 4: unknown basis kind 'cubic'", id="basis-kind"),
+    pytest.param(7, "pole 1 1 0 0 0 1", "line 7: " + _BROADCAST, id="pole-shape"),
+    pytest.param(7, "pole 1 1 0 0 2", "line 7: pole table for degree 1 contains non-unit vectors",
                  id="pole-norm"),
     # the parent's reader let an IndexError out here
     pytest.param(7, "pole 1 4 0 0 1", "line 7: pole index 4 out of range for degree 1",
@@ -324,7 +324,19 @@ def test_field_reader_errors(lineno, new, message):
                  id="samples-count"),
     pytest.param(_DATA3, 8, "pole 1", "line 8: malformed 'pole' record: list index out of range",
                  id="pole-short"),
-    pytest.param(_DATA3, 8, "pole 1 1 0 0 0 1", _BROADCAST, id="pole-shape"),
+    pytest.param(_DATA3, 8, "pole 1 1 0 0 0 1", "line 8: " + _BROADCAST, id="pole-shape"),
+    # the parent's reader dropped these records, or filled the pair with zeros
+    pytest.param(_DATA2, 6, "samples 1 2 3", "line 6: samples record in a d = 2 data file",
+                 id="samples-in-d2"),
+    pytest.param(_DATA3, 12, "fourier 0 1 0", "line 12: fourier record in a d = 3 data file",
+                 id="fourier-in-d3"),
+    pytest.param(_DATA3, 14, "", "line 13: pair 0 1 has no samples record", id="no-samples"),
+    # the parent's reader reported these at line 1
+    pytest.param(_DATA3, 5, "basis zonl", "line 5: unknown basis kind 'zonl'", id="basis-kind"),
+    pytest.param(_DATA3, 6, "normalization unit", "line 6: unknown normalization 'unit'",
+                 id="normalization-kind"),
+    pytest.param(_DATA3, 9, "pole 1 2 0 1 1",
+                 "line 9: pole table for degree 1 contains non-unit vectors", id="pole-norm"),
 ])
 def test_data_reader_errors(text, lineno, new, message):
     with pytest.raises(FileFormatError) as exc:

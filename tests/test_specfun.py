@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import ctx_mp_python, mp, mpf
 
+from herglotz import extract, field, specfun
+from herglotz.extract import extract_magnitude_data, radial_grid
+from herglotz.field import random_field, sample_magnitude
+from herglotz.harmonics import fourier2d_basis
 from herglotz.specfun import (
     ConvergenceError,
     SeriesBudget,
@@ -16,6 +21,7 @@ from herglotz.specfun import (
     bessel_product_series,
     gauss_legendre,
     gegenbauer,
+    validate_order,
 )
 
 
@@ -216,6 +222,103 @@ def test_bessel_mp_matches_double():
                 assert float(bessel_j_mp(nu, r)) == pytest.approx(
                     bessel_j(nu, r), rel=1e-13
                 )
+
+
+def _reference_bessel_j_mp(nu, r):
+    """The series of bessel_j_mp written with mpf operators, one rounding per
+    operator; the libmp loop must reproduce it bit for bit."""
+    nu_f = validate_order(nu)
+    if nu_f < 0:
+        n = int(-nu_f)
+        return mpf(-1) ** n * _reference_bessel_j_mp(n, r)
+    nu_m = mpf(2 * nu_f) / 2
+    r = mpf(r)
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    half = r / 2
+    if half == 0:
+        return mpf(1) if nu_f == 0 else mpf(0)
+    t = half**nu_m / mp.gamma(nu_m + 1)
+    total = t
+    h2 = half * half
+    eps, tiny = mp.eps, mpf("1e-40")
+    for k in range(1000):
+        t = -t * h2 / ((k + 1) * (nu_m + k + 1))
+        total += t
+        if abs(t) <= eps * (abs(total) + tiny):
+            return total
+    raise ConvergenceError("mp series did not converge", partial=total, terms=1000)
+
+
+_MP_ORDERS = [-3, 0] + [k / 2 for k in range(1, 16)] + [12]
+_MP_RADII = [*radial_grid(48), *radial_grid(64), 0.0, 1e-30, 1.0, 6.0, 12.0, 30.0]
+
+
+@pytest.mark.parametrize("dps", [15, 40, 50, 60])
+def test_bessel_mp_bit_identical_to_operator_loop(dps):
+    with mp.workdps(dps + 20):
+        third = mpf(1) / 3  # an mpf radius finer than the working precision
+    with mp.workdps(dps):
+        for nu in _MP_ORDERS:
+            got = [bessel_j_mp(nu, r)._mpf_ for r in _MP_RADII + [third]]
+            want = [_reference_bessel_j_mp(nu, r)._mpf_ for r in _MP_RADII + [third]]
+            assert got == want, f"order {nu}"
+
+
+def test_bessel_mp_stops_at_the_operator_loops_term(monkeypatch):
+    # the operator loop makes one `<=` (mpf_le) per term and the libmp loop
+    # one mpf_cmp, so equal counts mean both stop after the same term
+    counts = {"libmp": 0, "operators": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(specfun, "mpf_cmp", counting("libmp", specfun.mpf_cmp))
+    monkeypatch.setattr(ctx_mp_python, "mpf_le", counting("operators", ctx_mp_python.mpf_le))
+    with mp.workdps(50):
+        # at small r and high order the sum falls below the 1e-40 floor
+        for nu in (0, 0.5, 3, 7.5, 12):
+            for r in (1e-30, 1e-3, 0.3, 1.0, 6.0, 30.0):
+                bessel_j_mp(nu, r)
+                _reference_bessel_j_mp(nu, r)
+                assert counts["libmp"] == counts["operators"], (nu, r)
+    assert counts["libmp"] > 30 * 5
+
+
+def test_bessel_mp_keeps_its_errors():
+    with mp.workdps(50):
+        with pytest.raises(ConvergenceError) as exc:
+            bessel_j_mp(0, 3000)
+        assert exc.value.terms == 1000
+        assert isinstance(exc.value.partial, mpf)
+        with pytest.raises(ValueError):
+            bessel_j_mp(1, -0.5)
+        with pytest.raises(ValueError):
+            bessel_j_mp(-1.5, 1.0)
+        assert bessel_j_mp(0, 0) == 1 and bessel_j_mp(2.5, mpf(0)) == 0
+
+
+def test_mp_pipeline_bit_identical_to_operator_loop(monkeypatch):
+    # 40-digit samples and both unmixing tables of a small d = 2 field, once
+    # with bessel_j_mp and once with the operator loop in every module
+    u = random_field(2, 3, fourier2d_basis(), seed=8)
+    radii = radial_grid(24)
+
+    def run():
+        g = sample_magnitude(u, radii, 17, dps=40)
+        tables = [
+            extract_magnitude_data(g, 2, 3, method=method)[0].table.tobytes()
+            for method in ("lstsq", "taylor")
+        ]
+        return [v._mpf_ for v in g.values.flat], tables
+
+    got = run()
+    for module in (specfun, field, extract):
+        monkeypatch.setattr(module, "bessel_j_mp", _reference_bessel_j_mp)
+    assert run() == got
 
 
 @settings(max_examples=40, deadline=None)
