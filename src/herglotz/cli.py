@@ -114,48 +114,26 @@ def _load_data_or_grid(path, max_degree):
 
 
 def cmd_retrieve(args) -> int:
-    data, file_basis = _load_data_or_grid(args.data, args.max_degree)
-    basis = file_basis
-    if basis is None and data.dim >= 3:
-        basis = BasisSpec(args.basis or _default_basis_kind(data.dim), data.dim)
-    branch = args.branch
-    if data.dim == 2:
-        if branch == "sparse":
-            print("error: the sparse branch applies to d >= 3 data", file=sys.stderr)
-            return EXIT_BRANCH
-        if branch == "mean":
-            s0 = data.fourier_coeff(0, 0, 0).real
-            if s0 <= 1e-10:
-                print("error: mean branch requested but the data has vanishing mean",
-                      file=sys.stderr)
-                return EXIT_BRANCH
-        if branch == "real":
-            result = retrieve_real_data(data, harmonics.fourier2d_basis(), accept_tol=args.tol)
-        else:
-            result = retrieve_2d(data, accept_tol=args.tol)
+    data, basis = _load_data_or_grid(args.data, args.max_degree)
+    if basis is None:
+        basis = (harmonics.fourier2d_basis() if data.dim == 2
+                 else BasisSpec(args.basis or _default_basis_kind(data.dim), data.dim))
+    solvers = {"mean": retrieve_3d_mean, "sparse": retrieve_3d_sparse, "real": retrieve_real_data}
+    if args.branch != "auto":
+        result = solvers[args.branch](data, basis, accept_tol=args.tol)
+    elif data.dim == 2:
+        result = retrieve_2d(data, accept_tol=args.tol)
     else:
-        solvers = {
-            "mean": lambda: retrieve_3d_mean(data, basis, accept_tol=args.tol),
-            "sparse": lambda: retrieve_3d_sparse(data, basis, accept_tol=args.tol),
-            "real": lambda: retrieve_real_data(data, basis, accept_tol=args.tol),
-        }
-        if branch == "auto":
-            result = None
-            last = None
-            for name in ("mean", "sparse", "real"):
-                try:
-                    result = solvers[name]()
-                    break
-                except (BranchNotApplicableError, InconsistentDataError) as e:
-                    last = e
-            if result is None:
-                if isinstance(last, InconsistentDataError):
-                    raise last
-                raise BranchNotApplicableError(
-                    f"no d={data.dim} branch applies: {last}"
-                )
+        for solve in solvers.values():  # mean, sparse, real: the first that succeeds
+            try:
+                result = solve(data, basis, accept_tol=args.tol)
+                break
+            except (BranchNotApplicableError, InconsistentDataError) as e:
+                last = e
         else:
-            result = solvers[branch]()
+            if isinstance(last, InconsistentDataError):
+                raise last
+            raise BranchNotApplicableError(f"no d={data.dim} branch applies: {last}")
     fileio.write_field(args.out, result.field)
     print(
         "status=ok"

@@ -368,11 +368,9 @@ def _assemble_2d(reports, M, grid) -> MagnitudeData:
     return MagnitudeData(2, grid, table)
 
 
-def _legendre_triple(m, n, q, nquad=None):
+def _legendre_triple(m, n, q):
     """(2q+1)/2 * int_{-1}^{1} P_m P_n P_q dt (the linearization coefficient)."""
-    deg = m + n + q
-    nq = nquad or (deg // 2 + 2)
-    t, w = np.polynomial.legendre.leggauss(nq)
+    t, w = np.polynomial.legendre.leggauss((m + n + q) // 2 + 2)
     return (2 * q + 1) / 2.0 * float(
         np.sum(w * _legendre_values(m, t) * _legendre_values(n, t) * _legendre_values(q, t))
     )

@@ -76,7 +76,8 @@ def _read_records(text: str, magic: str, required: tuple, body):
     The integer headers among ``required`` and the basis block (``basis``,
     ``normalization``, ``pole``) are read here; every other record goes to
     ``body(line, key, args)``, which returns False for a key it does not know.
-    Returns the integer headers by name and the basis, or None without one.
+    Returns the integer headers by name, the basis (None without one) and the
+    line of each header.
     """
     rows = []
     for i, raw in enumerate(text.splitlines(), start=1):
@@ -86,13 +87,14 @@ def _read_records(text: str, magic: str, required: tuple, body):
     if not rows or rows[0][1] != magic:
         raise FileFormatError(f"expected header {magic!r}", rows[0][0] if rows else 1)
     head = {key: None for key in required if key != "basis"}
+    head_lines = {}
     kind = normalization = kind_line = None
     poles: dict = {}
     for i, s in rows[1:]:
         key, *args = s.split()
         try:
             if key in head:
-                head[key] = int(args[0])
+                head[key], head_lines[key] = int(args[0]), i
             elif key == "basis":
                 kind, kind_line = args[0], i
                 if kind not in harmonics.KINDS:
@@ -103,7 +105,9 @@ def _read_records(text: str, magic: str, required: tuple, body):
                     raise FileFormatError(f"unknown normalization {normalization!r}", i)
             elif key == "pole":
                 m, j = int(args[0]), int(args[1])
-                poles.setdefault(m, {})[j] = (i, [float(x) for x in args[2:]])
+                if j in poles.setdefault(m, {}):
+                    raise FileFormatError(f"repeated pole {m} {j}", i)
+                poles[m][j] = (i, [float(x) for x in args[2:]])
             elif not body(i, key, args):
                 raise FileFormatError(f"unknown key {key!r}", i)
         except FileFormatError:
@@ -113,7 +117,7 @@ def _read_records(text: str, magic: str, required: tuple, body):
     if None in head.values() or ("basis" in required and kind is None):
         raise FileFormatError(f"missing {' / '.join(required)} header")
     if kind is None:
-        return head, None
+        return head, None, head_lines
     dim = head["dim"]
     table = {}
     for m, entries in poles.items():
@@ -127,11 +131,13 @@ def _read_records(text: str, magic: str, required: tuple, body):
                 raise FileFormatError(str(e), i)
             if abs(np.linalg.norm(table[m][j - 1]) - 1) > harmonics.SURFACE_TOL:
                 raise FileFormatError(f"pole table for degree {m} contains non-unit vectors", i)
+        missing = [j for j in range(1, len(table[m]) + 1) if j not in entries]
+        if missing:
+            raise FileFormatError(f"degree {m} has no pole {missing[0]}", kind_line)
     try:
-        return head, BasisSpec(kind, dim, normalization or harmonics.RAW, table)
+        return head, BasisSpec(kind, dim, normalization or harmonics.RAW, table), head_lines
     except ValueError as e:
-        # what is left concerns the basis as a whole: its kind against dim,
-        # or poles missing from a degree's table
+        # what is left concerns the basis as a whole: its kind against dim
         raise FileFormatError(str(e), kind_line)
 
 
@@ -144,14 +150,18 @@ def parse_field(text: str) -> HerglotzField:
         entries.append((i, int(args[0]), int(args[1]), float(args[2]), float(args[3])))
         return True
 
-    head, basis = _read_records(text, FIELD_MAGIC, ("dim", "max_degree", "basis"), body)
+    head, basis, _ = _read_records(text, FIELD_MAGIC, ("dim", "max_degree", "basis"), body)
     dim, max_degree = head["dim"], head["max_degree"]
     coeffs = [np.zeros(harmonic_dim(dim, m), dtype=complex) for m in range(max_degree + 1)]
+    seen = set()
     for i, m, j, re, im in entries:
         if not 0 <= m <= max_degree:
             raise FileFormatError(f"coefficient degree {m} out of range", i)
         if not 1 <= j <= harmonic_dim(dim, m):
             raise FileFormatError(f"coefficient index {j} out of range for degree {m}", i)
+        if (m, j) in seen:
+            raise FileFormatError(f"repeated coeff {m} {j}", i)
+        seen.add((m, j))
         coeffs[m][j - 1] = re + 1j * im
     return HerglotzField(dim, max_degree, basis, coeffs)
 
@@ -280,7 +290,12 @@ def write_data(path: str, data: MagnitudeData, basis: BasisSpec | None = None):
 
 
 def parse_data(text: str):
-    """Returns (MagnitudeData, BasisSpec or None)."""
+    """Returns (MagnitudeData, BasisSpec or None).
+
+    Every pair 0 <= m <= n <= max_degree has exactly one ``pair`` record. A
+    d = 2 pair is followed by one ``fourier`` record per frequency it carries,
+    a d >= 3 pair by one ``samples`` record.
+    """
     pair = None
     pair_lines: dict = {}
     first_line: dict = {}
@@ -291,35 +306,55 @@ def parse_data(text: str):
         nonlocal pair
         if key == "pair":
             pair = (int(args[0]), int(args[1]))
-            pair_lines.setdefault(pair, i)
+            if pair in pair_lines:
+                raise FileFormatError(f"repeated pair {pair[0]} {pair[1]}", i)
+            pair_lines[pair] = i
         elif key not in ("fourier", "samples"):
             return False
         elif pair is None:
             raise FileFormatError(f"{key} record before any pair", i)
         elif key == "fourier":
-            fourier.setdefault(pair, {})[int(args[0])] = float(args[1]) + 1j * float(args[2])
+            q = int(args[0])
+            if q in fourier.setdefault(pair, {}):
+                raise FileFormatError(f"repeated fourier {q} record for pair {pair[0]} {pair[1]}", i)
+            fourier[pair][q] = (i, float(args[1]) + 1j * float(args[2]))
+        elif pair in samples:
+            raise FileFormatError(f"repeated samples record for pair {pair[0]} {pair[1]}", i)
         else:
             samples[pair] = np.array([float(x) for x in args])
         first_line.setdefault(key, i)
         return True
 
-    head, basis = _read_records(text, DATA_MAGIC, ("dim", "max_degree", "grid"), body)
+    head, basis, head_lines = _read_records(
+        text, DATA_MAGIC, ("dim", "max_degree", "grid"), body
+    )
     dim, M = head["dim"], head["max_degree"]
     grid = sphere_grid(dim, head["grid"])
-    for (m, n) in pair_lines:
+    for (m, n), i in pair_lines.items():
         if not 0 <= m <= n <= M:
-            raise FileFormatError(f"pair {m} {n} is not in 0 <= m <= n <= {M}")
+            raise FileFormatError(f"pair {m} {n} is not in 0 <= m <= n <= {M}", i)
     # d = 2 pairs carry Fourier coefficients, d >= 3 pairs one samples row
     stray = "samples" if dim == 2 else "fourier"
     if stray in first_line:
         raise FileFormatError(f"{stray} record in a d = {dim} data file", first_line[stray])
+    for m in range(M + 1):
+        for n in range(m, M + 1):
+            if (m, n) not in pair_lines:
+                raise FileFormatError(
+                    f"max_degree {M} needs pair {m} {n}, which the file lacks",
+                    head_lines["max_degree"],
+                )
     if dim == 2:
         table = np.zeros((M + 1, M + 1, 4 * M + 1), dtype=complex)
-        for (m, n), tab in fourier.items():
-            for q, c in tab.items():
+        for (m, n), i in pair_lines.items():
+            tab = fourier.get((m, n), {})
+            for q, (line, c) in tab.items():
                 if q not in pair_frequencies(m, n):
-                    raise FileFormatError(f"pair {m} {n} has no frequency {q}")
+                    raise FileFormatError(f"pair {m} {n} has no frequency {q}", line)
                 table[m, n, q + 2 * M] = c
+            for q in pair_frequencies(m, n):
+                if q not in tab:
+                    raise FileFormatError(f"pair {m} {n} has no fourier {q} record", i)
     else:
         table = np.zeros((M + 1, M + 1, len(grid)))
         for (m, n), i in pair_lines.items():

@@ -396,16 +396,11 @@ def gram_rank(functions, grid: SphereGrid, rank_tol: float = 1e-10):
     F = np.stack(cols, axis=1)
     G = F.T @ (F * grid.weights[:, None])
     diag = np.sqrt(np.abs(np.diag(G)))
-    if np.any(diag == 0):
-        nz = diag > 0
-        if not np.any(nz):
-            return 0, 0.0
-        sub = G[np.ix_(nz, nz)]
-        dn = 1 / diag[nz]
-        Gn = sub * dn[:, None] * dn[None, :]
-        sv = np.linalg.svd(Gn, compute_uv=False)
-        return int((sv > rank_tol * sv[0]).sum()), float(sv[-1])
-    dn = 1 / diag
-    Gn = G * dn[:, None] * dn[None, :]
+    # zero functions add nothing to the rank; normalize the rest
+    nz = diag > 0
+    if not np.any(nz):
+        return 0, 0.0
+    dn = 1 / diag[nz]
+    Gn = G[np.ix_(nz, nz)] * dn[:, None] * dn[None, :]
     sv = np.linalg.svd(Gn, compute_uv=False)
     return int((sv > rank_tol * sv[0]).sum()), float(sv[-1])

@@ -267,30 +267,8 @@ def retrieve_2d(data: MagnitudeData, accept_tol: float = ACCEPT_TOL) -> Retrieva
         return _zero_field_result(data, "zero")
 
     if s[0] > active_tol:
-        return _retrieve_2d_mean(data, s, accept_tol)
+        return _retrieve_mean(data, harmonics.fourier2d_basis(), s[0], accept_tol)
     return _retrieve_2d_zero_mean(data, s, p, accept_tol)
-
-
-def _retrieve_2d_mean(data: MagnitudeData, s: dict, accept_tol: float) -> RetrievalResult:
-    """Nonzero-mean branch: gauge the mean real positive, read the real parts
-    off the Re c_{0,n} cross terms, then recover the imaginary part (a real
-    field) up to the global sign absorbed by the solution class."""
-    M = data.max_degree
-    basis = harmonics.fourier2d_basis()
-    u0 = math.sqrt(max(s[0], 0.0))
-    coeffs_re = [np.array([u0 + 0j])]
-    modes = [{"m": 0, "branch": "mean", "mean": u0}]
-    for n in range(1, M + 1):
-        rn = data.fourier_coeff(0, n, n)
-        rea = 2 * rn.real / u0
-        reb = -2 * rn.imag / u0
-        coeffs_re.append(np.array([(rea - 1j * reb) / 2, (rea + 1j * reb) / 2]))
-        modes.append({"m": n, "re_cos": rea, "re_sin": reb})
-    w_re = HerglotzField(2, M, basis, coeffs_re)
-    resid_data = data.subtract(magnitude_coeffs(w_re, data.grid))
-    w_im = solve_real_from_data(resid_data, basis)
-    candidate = add_fields(w_re, w_im.scaled(1j))
-    return _finish(candidate, data, "mean", modes, accept_tol)
 
 
 def _retrieve_2d_zero_mean(data, s, p, accept_tol) -> RetrievalResult:
@@ -409,6 +387,13 @@ def _real_vec_to_coeffs(basis: BasisSpec, m: int, vec: np.ndarray) -> np.ndarray
     return vec.astype(complex)
 
 
+def _weighted_lstsq(A: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Least-squares x with A x = b in the quadrature-weighted norm of the grid."""
+    sw = np.sqrt(weights)
+    x, *_ = np.linalg.lstsq(A * sw[:, None], b * sw, rcond=None)
+    return x
+
+
 def _rank1_degree(diag: np.ndarray, Y: np.ndarray, weights: np.ndarray, scale: float):
     """Real vector b with (Y b)^2 matching the diagonal samples, up to sign."""
     nf = Y.shape[1]
@@ -419,9 +404,7 @@ def _rank1_degree(diag: np.ndarray, Y: np.ndarray, weights: np.ndarray, scale: f
             mult = 1.0 if j == k else 2.0
             cols.append(mult * Y[:, j] * Y[:, k])
             index.append((j, k))
-    D = np.stack(cols, axis=1) * np.sqrt(weights)[:, None]
-    rhs = diag * np.sqrt(weights)
-    sol, *_ = np.linalg.lstsq(D, rhs, rcond=None)
+    sol = _weighted_lstsq(np.stack(cols, axis=1), diag, weights)
     S = np.zeros((nf, nf))
     for (j, k), v in zip(index, sol):
         S[j, k] = v
@@ -468,10 +451,7 @@ def solve_real_from_data(data: MagnitudeData, basis: BasisSpec) -> HerglotzField
         if n == m0:
             continue
         Yn = _real_basis_values(basis, n, grid)
-        cross = data.pair_samples(m0, n)
-        D = (w0[:, None] * Yn) * np.sqrt(grid.weights)[:, None]
-        rhs = cross * np.sqrt(grid.weights)
-        bn, *_ = np.linalg.lstsq(D, rhs, rcond=None)
+        bn = _weighted_lstsq(w0[:, None] * Yn, data.pair_samples(m0, n), grid.weights)
         fit = (Yn @ bn) ** 2
         if np.abs(fit - diag[n]).max() > 1e-5 * scale:
             raise InconsistentDataError(
@@ -535,39 +515,46 @@ def retrieve_3d_real(u: HerglotzField, v: HerglotzField, radii=None, tol: float 
 
 def retrieve_3d_mean(data: MagnitudeData, basis: BasisSpec,
                      accept_tol: float = ACCEPT_TOL) -> RetrievalResult:
-    """d >= 3 retrieval for data with nonvanishing mean, in a real basis.
+    """Retrieval for data with nonvanishing mean: d >= 3 in a real basis, or
+    d = 2 in the fourier2d basis (where it is the mean branch of retrieve_2d)."""
+    if basis.dim != data.dim:
+        raise ValueError(f"basis is for d = {basis.dim}, data for d = {data.dim}")
+    scale = 1.0 + data.max_abs()
+    # d = 2 takes the mean from its q = 0 coefficient, as retrieve_2d does, so
+    # that both hand the core the same bits
+    if data.dim == 2:
+        s0 = data.fourier_coeff(0, 0, 0).real
+    else:
+        s0 = float(np.mean(data.pair_samples(0, 0)))
+    mean_tol = max(ACTIVE_TOL, 1e-9 * scale)
+    if s0 <= mean_tol:
+        raise BranchNotApplicableError(
+            f"vanishing mean: mean power {s0:.3e} is at most {mean_tol:.3e}"
+        )
+    return _retrieve_mean(data, basis, s0, accept_tol)
+
+
+def _retrieve_mean(data: MagnitudeData, basis: BasisSpec, s0: float,
+                   accept_tol: float) -> RetrievalResult:
+    """Mean branch for a mean power s0 > 0, in any basis.
 
     The mean is gauged real positive, the real parts of all coefficients are
-    projected out of the Re c_{0,n} cross terms, and the imaginary part (a
-    real field whose squared magnitude is the remaining data) is recovered up
-    to the global sign of the solution class."""
-    if data.dim < 3:
-        raise ValueError("retrieve_3d_mean expects d >= 3 data")
-    if not basis.is_real:
-        raise ValueError("retrieve_3d_mean requires a real basis")
+    fitted to the Re c_{0,n} cross terms, and the imaginary part (a real field
+    whose squared magnitude is the remaining data) is recovered up to the
+    global sign of the solution class."""
     M = data.max_degree
     grid = data.grid
-    scale = 1.0 + data.max_abs()
-    diag0 = data.pair_samples(0, 0)
-    s0 = float(np.mean(diag0))
-    if s0 <= max(ACTIVE_TOL, 1e-9 * scale):
-        raise BranchNotApplicableError(
-            "vanishing mean: use the sparse or real branches instead"
-        )
-    y0 = float(np.real(basis.values(0, grid.nodes[:1])[0, 0]))
+    y0 = float(_real_basis_values(basis, 0, grid)[0, 0])
     a0 = math.sqrt(s0) / y0
-    vectors = {0: np.array([a0])}
+    vectors = [np.array([a0])]
     modes = [{"m": 0, "mean": a0}]
     for n in range(1, M + 1):
-        Yn = np.real(basis.values(n, grid.nodes))
-        cross = data.pair_samples(0, n)
-        D = Yn * np.sqrt(grid.weights)[:, None]
-        rhs = cross / (a0 * y0) * np.sqrt(grid.weights)
-        re_n, *_ = np.linalg.lstsq(D, rhs, rcond=None)
-        vectors[n] = re_n
+        Yn = _real_basis_values(basis, n, grid)
+        re_n = _weighted_lstsq(Yn, data.pair_samples(0, n) / (a0 * y0), grid.weights)
+        vectors.append(re_n)
         modes.append({"m": n, "re_power": float(np.sum(re_n**2))})
     w_re = HerglotzField(
-        data.dim, M, basis, [vectors[m].astype(complex) for m in range(M + 1)]
+        data.dim, M, basis, [_real_vec_to_coeffs(basis, m, v) for m, v in enumerate(vectors)]
     )
     resid_data = data.subtract(magnitude_coeffs(w_re, grid))
     w_im = solve_real_from_data(resid_data, basis)
@@ -584,9 +571,9 @@ def retrieve_3d_sparse(data: MagnitudeData, basis: BasisSpec,
     diagonal, real parts from the cross terms with the first active degree,
     and imaginary parts up to the global sign from the remaining cross terms."""
     if data.dim < 3:
-        raise ValueError("retrieve_3d_sparse expects d >= 3 data")
-    if not basis.is_real:
-        raise ValueError("retrieve_3d_sparse requires a real basis")
+        raise BranchNotApplicableError("the sparse branch applies to d >= 3 data")
+    if basis.dim != data.dim:
+        raise ValueError(f"basis is for d = {basis.dim}, data for d = {data.dim}")
     M = data.max_degree
     grid = data.grid
     scale = 1.0 + data.max_abs()
@@ -598,7 +585,7 @@ def retrieve_3d_sparse(data: MagnitudeData, basis: BasisSpec,
     yvals = {}
     for m in range(M + 1):
         diag = data.pair_samples(m, m)
-        yvals[m] = np.real(basis.values(m, grid.nodes))
+        yvals[m] = _real_basis_values(basis, m, grid)
         if np.abs(diag).max(initial=0.0) <= act_tol:
             modes.append({"m": m, "active": False})
             continue

@@ -148,6 +148,7 @@ def test_criterion_4_antisymmetric_families_cancel():
     _report(4, worst <= 1e-10, f"20 antisymmetric families, max |sum| {worst:.2e} (tol 1e-10)")
 
 
+@pytest.mark.slow
 def test_criterion_5_extraction_roundtrip():
     worst_dev = worst_agree = 0.0
     worst_time = 0.0
@@ -291,6 +292,7 @@ def test_criterion_9_support_verifier():
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_cli_pipeline(tmp_path):
     # the stages are fresh interpreters: give them this checkout's sources
     path = os.environ.get("PYTHONPATH")

@@ -167,6 +167,35 @@ def test_retrieve_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+# exit codes of `retrieve --branch B` on exact data with a mean and without;
+# the d = 3 field without a mean is sparse, so one branch applies to it
+_BRANCH_EXITS = {
+    (2, "auto"): (0, 0), (2, "mean"): (0, 3), (2, "sparse"): (3, 3), (2, "real"): (2, 2),
+    (3, "auto"): (0, 0), (3, "mean"): (0, 3), (3, "sparse"): (3, 0), (3, "real"): (2, 2),
+}
+
+
+@pytest.mark.parametrize("branch", ["auto", "mean", "sparse", "real"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_retrieve_branch_table(tmp_path, capsys, dim, branch):
+    basis = fourier2d_basis() if dim == 2 else BasisSpec("zonal", 3)
+    for zero_mean, code in zip((False, True), _BRANCH_EXITS[dim, branch]):
+        u = random_field(dim, 3, basis, seed=11, zero_mean=zero_mean,
+                         sparse=zero_mean and dim == 3)
+        d, out, auto = tmp_path / "u.data", tmp_path / "u.field", tmp_path / "auto.field"
+        fileio.write_data(str(d), magnitude_coeffs(u), None if dim == 2 else basis)
+        capsys.readouterr()
+        assert run(["retrieve", str(d), "--branch", branch, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if dim == 2 and branch == "sparse":
+            assert err == "error: the sparse branch applies to d >= 3 data\n"
+        if branch == "mean" and code == 3:
+            assert err.startswith("error: vanishing mean")
+        if branch == "mean" and code == 0:
+            assert run(["retrieve", str(d), "--out", str(auto)]) == 0
+            assert out.read_bytes() == auto.read_bytes()
+
+
 def test_verify_identity_output(tmp_path, capsys):
     f1 = tmp_path / "a.field"
     f2 = tmp_path / "b.field"
@@ -291,6 +320,11 @@ _BROADCAST = "could not broadcast input array from shape (4,) into shape (3,)"
                  id="pole-index-high"),
     pytest.param(7, "pole 1 0 0 0 1", "line 7: pole index 0 out of range for degree 1",
                  id="pole-index-zero"),
+    # the parent's reader called a missing pole a non-unit vector, and let a
+    # repeated record overwrite the first
+    pytest.param(8, "", "line 4: degree 1 has no pole 2", id="pole-missing"),
+    pytest.param(8, "pole 1 1 0 0 1", "line 8: repeated pole 1 1", id="pole-repeated"),
+    pytest.param(12, "coeff 1 1 0 0", "line 12: repeated coeff 1 1", id="coeff-repeated"),
 ])
 def test_field_reader_errors(lineno, new, message):
     with pytest.raises(FileFormatError) as exc:
@@ -337,6 +371,18 @@ def test_field_reader_errors(lineno, new, message):
                  id="normalization-kind"),
     pytest.param(_DATA3, 9, "pole 1 2 0 1 1",
                  "line 9: pole table for degree 1 contains non-unit vectors", id="pole-norm"),
+    # the parent's reader let a repeated record overwrite the first, and read
+    # a missing pair or Fourier coefficient as zeros
+    pytest.param(_DATA3, 13, "samples 1 2", "line 13: repeated samples record for pair 0 0",
+                 id="samples-repeated"),
+    pytest.param(_DATA2, 9, "fourier -1 5 0", "line 9: repeated fourier -1 record for pair 0 1",
+                 id="fourier-repeated"),
+    pytest.param(_DATA2, 10, "pair 0 1", "line 10: repeated pair 0 1", id="pair-repeated"),
+    pytest.param(_DATA2, 3, "max_degree 2",
+                 "line 3: max_degree 2 needs pair 0 2, which the file lacks", id="pair-missing"),
+    pytest.param(_DATA2, 6, "", "line 5: pair 0 0 has no fourier 0 record", id="no-fourier"),
+    pytest.param(_DATA2, 12, "", "line 10: pair 1 1 has no fourier 0 record",
+                 id="fourier-missing"),
 ])
 def test_data_reader_errors(text, lineno, new, message):
     with pytest.raises(FileFormatError) as exc:

@@ -224,9 +224,15 @@ def test_gram_rank_squares_full():
     grid = sphere_grid(3, 16)
     spec = BasisSpec("palpha", 3)
     vals = spec.values(3, grid.nodes)
-    rank, sv = gram_rank([vals[:, j] ** 2 for j in range(vals.shape[1])], grid)
+    squares = [vals[:, j] ** 2 for j in range(vals.shape[1])]
+    rank, sv = gram_rank(squares, grid)
     assert rank == harmonic_dim(3, 3)
     assert sv > 1e-8
+    # a zero function adds nothing to the rank; alone it has rank 0
+    zero = np.zeros(len(grid))
+    rank_z, sv_z = gram_rank(squares + [zero], grid)
+    assert rank_z == rank and sv_z == pytest.approx(sv, rel=1e-12)
+    assert gram_rank([zero], grid) == (0, 0.0)
 
 
 def test_gram_rank_antipodal_squares():

@@ -331,6 +331,28 @@ def test_retrieve_3d_mean_rejects_zero_mean():
         retrieve_3d_mean(magnitude_coeffs(u), P3)
 
 
+def test_retrieve_2d_mean_branch_is_retrieve_3d_mean():
+    # one mean-branch solver: retrieve_2d hands nonzero-mean data to it
+    for seed in (5, 25, 26):
+        data = magnitude_coeffs(random_field(2, 4, F2, seed=seed))
+        a, b = retrieve_2d(data), retrieve_3d_mean(data, F2)
+        assert a.branch == b.branch == "mean"
+        assert all(np.array_equal(x, y) for x, y in zip(a.field.coeffs, b.field.coeffs))
+        assert a.residual == b.residual and a.modes == b.modes
+
+
+def test_branch_dimension_checks():
+    data2 = magnitude_coeffs(random_field(2, 2, F2, seed=5))
+    data3 = magnitude_coeffs(random_field(3, 2, Z3, seed=5))
+    with pytest.raises(BranchNotApplicableError, match="applies to d >= 3 data"):
+        retrieve_3d_sparse(data2, F2)
+    for data, basis in ((data2, Z3), (data3, F2)):
+        with pytest.raises(ValueError, match="basis is for d"):
+            retrieve_3d_mean(data, basis)
+    with pytest.raises(ValueError, match="basis is for d"):
+        retrieve_3d_sparse(data3, F2)
+
+
 def test_retrieve_3d_sparse_active_degrees():
     # degrees 1 and 3 active, mean absent
     u = HerglotzField.zero(3, 3, Z3)
