@@ -8,13 +8,19 @@ radial unmixing of each profile over the Bessel-product dictionary
               J_{nu(m)}(r) J_{nu(n)}(r).
 
 The per-profile design matrices are generalized Vandermonde systems whose
-conditioning grows steeply with the truncation degree, so all profile solves
-run at WORK_DPS significant digits; double-precision input samples then limit
-the attainable accuracy, not the solver. The solves work in fixed point: the
-columns and the right-hand side become Python integers scaled by
-2^(mp.prec + GUARD_BITS), and one least-squares kernel (_mp_qr_solve) serves
-the lstsq, taylor and d = 3 joint unmixing. They still take their precision
-from mpmath's global context: parallelize across processes, not threads.
+conditioning grows steeply with the truncation degree, so the extraction's
+profile solves run at WORK_DPS significant digits; double-precision input
+samples then limit the attainable accuracy, not the solver. These solves work
+in fixed point: the columns and the right-hand side become Python integers
+scaled by 2^(mp.prec + GUARD_BITS), and one least-squares kernel
+(_mp_qr_solve) serves the lstsq, taylor and d = 3 joint unmixing. They take
+their precision from mpmath's global context: parallelize across processes,
+not threads.
+
+estimate_max_degree reads only residuals, so it unmixes with the "float64"
+method: the same least squares in double precision, which hands any profile
+whose design condition exceeds CONDITION_WARN to the 50-digit solve. The
+extraction at the chosen degree is always the 50-digit one.
 """
 
 import math
@@ -26,7 +32,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_int, mpf_div, mpf_shift, round_nearest, to_fixed
 
 from .field import MagnitudeData, MagnitudeGrid, nu_order
-from .specfun import bessel_j_mp
+from .specfun import bessel_j, bessel_j_mp
 
 WORK_DPS = 50
 # fraction bits beyond mp.prec carried by the fixed-point least-squares solve
@@ -312,11 +318,55 @@ def _taylor_gamma(pairs, profile, d):
     return gamma, cond, defic
 
 
+def _lstsq_unmix(profile, pairs, d):
+    """The 50-digit least-squares report for one profile."""
+    with mp.workdps(WORK_DPS):
+        cols = _mp_columns(pairs, profile.radii, d)
+        re, im = _mp_parts(profile.values)
+        gr, cond, res_r, defic = _mp_qr_solve(cols, re)
+        gi, _, res_i, _ = _mp_qr_solve(cols, im)
+    if defic:
+        raise ExtractionRankError([pairs[j] for j in defic])
+    gamma = {p: complex(float(gr[j]), float(gi[j])) for j, p in enumerate(pairs)}
+    return UnmixReport(profile.frequency, gamma, math.hypot(res_r, res_i), cond, "lstsq")
+
+
+def _float64_unmix(profile, pairs, d):
+    """Least squares in double precision through numpy QR of the unit-norm
+    columns, or None when a column vanishes, R is singular or its condition
+    estimate max|R_jj| / min|R_jj| exceeds CONDITION_WARN."""
+    radii = profile.radii
+    jrow = {m: bessel_j(nu_order(m, d), radii) for m in sorted({m for p in pairs for m in p})}
+    pref = 2 * np.pi / radii ** (d - 2)
+    A = np.column_stack([pref * jrow[m] * jrow[n] for m, n in pairs])
+    norms = np.linalg.norm(A, axis=0)
+    if not np.all(norms > 0):
+        return None
+    Q, R = np.linalg.qr(A / norms)
+    diag = np.abs(np.diag(R))
+    if not diag.min() > 0:
+        return None
+    cond = float(diag.max() / diag.min())
+    if cond > CONDITION_WARN:
+        return None
+    values = np.asarray(profile.values, dtype=complex)
+    b = np.column_stack([values.real, values.imag])
+    x = np.linalg.solve(R, Q.T @ b) / norms[:, None]
+    res_r, res_i = np.linalg.norm(b - A @ x, axis=0)
+    gamma = {p: complex(x[j, 0], x[j, 1]) for j, p in enumerate(pairs)}
+    return UnmixReport(profile.frequency, gamma, math.hypot(res_r, res_i), cond, "float64")
+
+
 def radial_unmix(profile: RadialProfile, M: int, d: int, method: str = "lstsq") -> UnmixReport:
     """Recover the symmetrized pair coefficients feeding one radial profile.
 
     method "lstsq": least squares over the radial grid through an orthogonal
-    factorization; method "taylor": triangular Taylor matching about r = 0.
+    factorization at WORK_DPS digits; method "taylor": triangular Taylor
+    matching about r = 0, at WORK_DPS digits; method "float64": the same least
+    squares as "lstsq" in double precision, from the double Bessel values. A
+    "float64" solve whose design has a vanishing column, a singular R or a
+    condition estimate above CONDITION_WARN is not trusted: the profile gets
+    the "lstsq" report instead, and the report's method says so.
     """
     q = profile.frequency
     pairs = compatible_pairs(q, M, d)
@@ -328,28 +378,21 @@ def radial_unmix(profile: RadialProfile, M: int, d: int, method: str = "lstsq") 
         raise ValueError(
             f"profile {q}: {len(profile.radii)} radial nodes cannot determine {len(pairs)} pairs"
         )
-    with mp.workdps(WORK_DPS):
-        if method == "taylor":
+    if method == "taylor":
+        with mp.workdps(WORK_DPS):
             gamma, cond, defic = _taylor_gamma(pairs, profile, d)
-            if defic:
-                raise ExtractionRankError([pairs[j] for j in defic])
-            report = UnmixReport(q, gamma, 0.0, cond, method)
-            if cond > CONDITION_WARN:
-                report.warnings.append(f"condition estimate {cond:.2e} above threshold")
-            return report
-        if method != "lstsq":
-            raise ValueError(f"unknown unmixing method {method!r}")
-        cols = _mp_columns(pairs, profile.radii, d)
-        re, im = _mp_parts(profile.values)
-        gr, cond, res_r, defic = _mp_qr_solve(cols, re)
-        gi, _, res_i, _ = _mp_qr_solve(cols, im)
         if defic:
             raise ExtractionRankError([pairs[j] for j in defic])
-        gamma = {p: complex(float(gr[j]), float(gi[j])) for j, p in enumerate(pairs)}
-        report = UnmixReport(q, gamma, float(math.hypot(res_r, res_i)), cond, method)
-        if cond > CONDITION_WARN:
-            report.warnings.append(f"condition estimate {cond:.2e} above threshold")
-        return report
+        report = UnmixReport(q, gamma, 0.0, cond, method)
+    elif method == "float64":
+        report = _float64_unmix(profile, pairs, d) or _lstsq_unmix(profile, pairs, d)
+    elif method == "lstsq":
+        report = _lstsq_unmix(profile, pairs, d)
+    else:
+        raise ValueError(f"unknown unmixing method {method!r}")
+    if report.condition > CONDITION_WARN:
+        report.warnings.append(f"condition estimate {report.condition:.2e} above threshold")
+    return report
 
 
 # --------------------------------------------------------------------------
@@ -430,7 +473,8 @@ def _extract_3d_joint(profiles, M, grid):
 
 def estimate_max_degree(samples: MagnitudeGrid, d: int, cap: int = 16) -> int:
     """Estimate the truncation degree from the active angular bandwidth,
-    refining upward while the unmixing residual keeps improving."""
+    refining upward while the unmixing residual keeps improving. Only the
+    residuals are read, so the candidate unmixings use the "float64" method."""
     profiles = angular_decompose(samples, d)
     scale = float(np.max(np.abs(np.asarray(samples.values, dtype=float)))) + 1.0
     act = [p.frequency for p in profiles
@@ -443,7 +487,7 @@ def estimate_max_degree(samples: MagnitudeGrid, d: int, cap: int = 16) -> int:
     prev = None
     for M in range(guess, cap + 1):
         try:
-            _, total = _extract_with_residual(profiles, d, M, "lstsq")
+            _, total = _extract_with_residual(profiles, d, M, "float64")
         except ValueError:
             break
         if total <= 1e-8 * scale:

@@ -118,7 +118,17 @@ def _read_records(text: str, magic: str, required: tuple, body):
         raise FileFormatError(f"missing {' / '.join(required)} header")
     if kind is None:
         return head, None, head_lines
-    dim = head["dim"]
+    dim, max_degree = head["dim"], head["max_degree"]
+    stray = [(i, m) for m, entries in poles.items() for i, _ in entries.values()
+             if not 0 <= m <= max_degree]
+    if stray:
+        i, m = min(stray)
+        raise FileFormatError(f"pole degree {m} is outside 0..max_degree {max_degree}", i)
+    if kind == harmonics.ZONAL:
+        # the writer lists every degree's poles; a reader that filled in a
+        # missing degree with default_poles would read other functions
+        for m in range(max_degree + 1):
+            poles.setdefault(m, {})
     table = {}
     for m, entries in poles.items():
         table[m] = np.zeros((harmonic_dim(dim, m), dim))

@@ -325,11 +325,31 @@ _BROADCAST = "could not broadcast input array from shape (4,) into shape (3,)"
     pytest.param(8, "", "line 4: degree 1 has no pole 2", id="pole-missing"),
     pytest.param(8, "pole 1 1 0 0 1", "line 8: repeated pole 1 1", id="pole-repeated"),
     pytest.param(12, "coeff 1 1 0 0", "line 12: repeated coeff 1 1", id="coeff-repeated"),
+    # the parent's reader filled in default poles for a degree without any
+    # pole record, and took poles above max_degree
+    pytest.param(6, "", "line 4: degree 0 has no pole 1", id="pole-degree-missing"),
+    pytest.param(3, "max_degree 2", "line 4: degree 2 has no pole 1", id="pole-degree-short"),
+    pytest.param(3, "max_degree 0", "line 7: pole degree 1 is outside 0..max_degree 0",
+                 id="pole-degree-high"),
+    pytest.param(6, "pole -1 1 0 0 1", "line 6: pole degree -1 is outside 0..max_degree 1",
+                 id="pole-degree-negative"),
 ])
 def test_field_reader_errors(lineno, new, message):
     with pytest.raises(FileFormatError) as exc:
         fileio.parse_field(_edit(_FIELD, lineno, new))
     assert str(exc.value) == message
+
+
+def test_field_reader_rejects_a_degree_without_poles():
+    # degree-1 poles on the coordinate axes, not the default ones: without its
+    # pole records the file must not read back against default_poles
+    u = random_field(3, 1, BasisSpec("zonal", 3, poles={1: np.eye(3)}), seed=4)
+    text = fileio.field_to_text(u)
+    assert fileio.parse_field(text).basis.poles_for(1).tolist() == np.eye(3).tolist()
+    kept = [line for line in text.splitlines() if not line.startswith("pole 1 ")]
+    with pytest.raises(FileFormatError) as exc:
+        fileio.parse_field("\n".join(kept) + "\n")
+    assert str(exc.value) == "line 4: degree 1 has no pole 1"
 
 
 @pytest.mark.parametrize("text, lineno, new, message", [
@@ -383,6 +403,13 @@ def test_field_reader_errors(lineno, new, message):
     pytest.param(_DATA2, 6, "", "line 5: pair 0 0 has no fourier 0 record", id="no-fourier"),
     pytest.param(_DATA2, 12, "", "line 10: pair 1 1 has no fourier 0 record",
                  id="fourier-missing"),
+    # the parent's reader filled in default poles for a degree without any
+    # pole record, and took poles above max_degree
+    pytest.param(_DATA3, 7, "", "line 5: degree 0 has no pole 1", id="pole-degree-missing"),
+    pytest.param(_DATA3, 3, "max_degree 2", "line 5: degree 2 has no pole 1",
+                 id="pole-degree-short"),
+    pytest.param(_DATA3, 3, "max_degree 0", "line 8: pole degree 1 is outside 0..max_degree 0",
+                 id="pole-degree-high"),
 ])
 def test_data_reader_errors(text, lineno, new, message):
     with pytest.raises(FileFormatError) as exc:

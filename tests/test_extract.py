@@ -5,6 +5,7 @@ import pytest
 from mpmath import mp, mpf
 
 from herglotz.extract import (
+    CONDITION_WARN,
     WORK_DPS,
     ExtractionRankError,
     RadialProfile,
@@ -287,3 +288,68 @@ def test_compatible_pairs_rules():
     assert (1, 1) in compatible_pairs(2, 3, 3)
     assert (2, 2) in compatible_pairs(2, 3, 3)
     assert (0, 3) not in compatible_pairs(2, 3, 3)
+
+
+# Worst |gamma_float64 - gamma_lstsq| / max|samples| over 20 fields per M (five
+# families x four seeds, 48 radii, 4M + 5 angles) was 9.4e-13, 9.6e-11 and
+# 6.9e-8 at M = 3, 4, 5, and float64 residuals were 0.54 to 2.7 times the
+# lstsq ones; the bounds leave about a factor of ten.
+FLOAT64_GAMMA_TOL = {3: 1e-11, 4: 1e-9, 5: 1e-6}
+
+
+@pytest.mark.parametrize("M", [3, 4, 5])
+@pytest.mark.parametrize("family", [{}, {"real": True}, {"all_r": True}])
+def test_float64_unmix_agrees_with_lstsq(M, family):
+    u = random_field(2, M, F2, seed=20 + M, **family)
+    g = sample_magnitude(u, radial_grid(48), 4 * M + 5)
+    scale = float(np.abs(g.values).max())
+    for prof in angular_decompose(g, 2):
+        a = radial_unmix(prof, M, 2, method="float64")
+        b = radial_unmix(prof, M, 2, method="lstsq")
+        if not b.gamma:
+            continue
+        assert a.method == "float64" and not a.warnings
+        assert max(abs(a.gamma[k] - b.gamma[k]) for k in b.gamma) < FLOAT64_GAMMA_TOL[M] * scale
+        assert b.residual / 4 < a.residual < 4 * b.residual
+
+
+def test_float64_unmix_hands_ill_conditioned_profiles_to_lstsq():
+    # 16 radii cannot condition M = 8: the float64 solve is not trusted, and
+    # the profile gets the 50-digit report, bit for bit
+    u = random_field(2, 8, F2, seed=21)
+    g = sample_magnitude(u, radial_grid(16), 37)
+    escalated = 0
+    for prof in angular_decompose(g, 2)[:9]:
+        a = radial_unmix(prof, 8, 2, method="float64")
+        b = radial_unmix(prof, 8, 2, method="lstsq")
+        if b.condition > CONDITION_WARN:
+            escalated += 1
+            assert a.method == "lstsq"
+            assert a.gamma == b.gamma
+            assert (a.residual, a.condition, a.warnings) == (b.residual, b.condition, b.warnings)
+        else:
+            assert a.method == "float64"
+    assert escalated > 0
+
+
+@pytest.mark.parametrize("family", ["generic", "real", "sparse", "zero_mean", "all_r"])
+def test_estimate_max_degree_matches_the_50_digit_estimate(family):
+    # seed 1000 M of every family, on the sample command's default grid (48
+    # radii, 4M + 5 angles) and on 32 radii with 4M + 3 angles: the estimate
+    # whose candidate unmixings ran at 50 digits gave M in each case
+    flags = {} if family == "generic" else {family: True}
+    for radial, extra in ((48, 5), (32, 3)):
+        for M in range(1, 7):
+            u = random_field(2, M, F2, 1000 * M, **flags)
+            g = sample_magnitude(u, radial_grid(radial), 4 * M + extra)
+            assert estimate_max_degree(g, 2) == M, (radial, M)
+
+
+def test_estimate_max_degree_high_precision_samples():
+    # dps = 40 samples reach the float64 solve rounded to double, so they
+    # estimate the same degree as their double copy
+    for M, seed in ((3, 30), (5, 31)):
+        u = random_field(2, M, F2, seed)
+        g = sample_magnitude(u, radial_grid(48), 4 * M + 5, dps=40)
+        copy = MagnitudeGrid(2, g.radii, g.grid, np.asarray(g.values, dtype=float))
+        assert estimate_max_degree(g, 2) == estimate_max_degree(copy, 2) == M
