@@ -131,9 +131,7 @@ def cmd_retrieve(args) -> int:
             except (BranchNotApplicableError, InconsistentDataError) as e:
                 last = e
         else:
-            if isinstance(last, InconsistentDataError):
-                raise last
-            raise BranchNotApplicableError(f"no d={data.dim} branch applies: {last}")
+            raise last  # from real, which raises only InconsistentDataError
     fileio.write_field(args.out, result.field)
     print(
         "status=ok"

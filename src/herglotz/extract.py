@@ -32,7 +32,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_int, mpf_div, mpf_shift, round_nearest, to_fixed
 
 from .field import MagnitudeData, MagnitudeGrid, nu_order
-from .specfun import bessel_j, bessel_j_mp
+from .specfun import bessel_j, bessel_j_mp, gegenbauer
 
 WORK_DPS = 50
 # fraction bits beyond mp.prec carried by the fixed-point least-squares solve
@@ -150,21 +150,11 @@ def angular_decompose(samples: MagnitudeGrid, d: int) -> list:
         qmax = npol - 1
         profiles = []
         for q in range(qmax + 1):
-            Pq = _legendre_values(q, t)
+            Pq = gegenbauer(q, 0.5, t)
             proj = (zone * (Pq * w)[None, :]).sum(axis=1) * (2 * q + 1) / 2.0
             profiles.append(RadialProfile(3, q, samples.radii, proj))
         return profiles
     raise ValueError(f"extraction is implemented for d in {{2, 3}}, got {d}")
-
-
-def _legendre_values(q, t):
-    t = np.asarray(t, dtype=float)
-    if q == 0:
-        return np.ones_like(t)
-    pm, p = np.ones_like(t), t.copy()
-    for k in range(1, q):
-        pm, p = p, ((2 * k + 1) * t * p - k * pm) / (k + 1)
-    return p
 
 
 def compatible_pairs(q: int, M: int, d: int) -> list:
@@ -415,7 +405,7 @@ def _legendre_triple(m, n, q):
     """(2q+1)/2 * int_{-1}^{1} P_m P_n P_q dt (the linearization coefficient)."""
     t, w = np.polynomial.legendre.leggauss((m + n + q) // 2 + 2)
     return (2 * q + 1) / 2.0 * float(
-        np.sum(w * _legendre_values(m, t) * _legendre_values(n, t) * _legendre_values(q, t))
+        np.sum(w * gegenbauer(m, 0.5, t) * gegenbauer(n, 0.5, t) * gegenbauer(q, 0.5, t))
     )
 
 
@@ -466,7 +456,7 @@ def _extract_3d_joint(profiles, M, grid):
                                    [f"component beyond 2*max_degree has norm {norm:.2e}"]))
     gamma = np.zeros((M + 1, M + 1))
     gamma[np.triu_indices(M + 1)] = [x[p] for p in pairs]
-    legendre = np.array([_legendre_values(m, grid.polar_t) for m in range(M + 1)])
+    legendre = np.array([gegenbauer(m, 0.5, grid.polar_t) for m in range(M + 1)])
     profile = gamma[:, :, None] * legendre[:, None, :] * legendre[None, :, :]
     return MagnitudeData(3, grid, np.repeat(profile, grid.azimuth_count, axis=2)), reports
 

@@ -294,10 +294,6 @@ class BasisSpec:
                 raise ValueError(f"pole table for degree {m} contains non-unit vectors")
             self.poles[m] = table
 
-    @property
-    def is_real(self) -> bool:
-        return self.kind in (ZONAL, PALPHA)
-
     def poles_for(self, m: int) -> np.ndarray:
         if self.kind != ZONAL:
             raise ValueError("pole tables only exist for the zonal basis")
@@ -330,21 +326,21 @@ class BasisSpec:
         if self.kind == FOURIER2D:
             return np.eye(harmonic_dim(2, m))
         if m not in self._ortho_cache:
-            grid = sphere_grid(self.dim, max(2 * m + 4, 8))
-            F = self._raw_values(m, grid.nodes)
-            G = F.T @ (F * grid.weights[:, None])
-            L = np.linalg.cholesky(G)
+            L = np.linalg.cholesky(self._raw_gram(m))
             self._ortho_cache[m] = np.linalg.inv(L).T
         return self._ortho_cache[m]
 
-    def gram(self, m: int) -> np.ndarray:
-        """L^2(S^{d-1}) Gram matrix of the degree-m basis functions in force."""
-        n = harmonic_dim(self.dim, m)
-        if self.kind == FOURIER2D or self.normalization == ORTHONORMAL:
-            return np.eye(n)
+    def _raw_gram(self, m: int) -> np.ndarray:
+        """Quadrature Gram matrix of the raw degree-m functions."""
         grid = sphere_grid(self.dim, max(2 * m + 4, 8))
         F = self._raw_values(m, grid.nodes)
         return F.T @ (F * grid.weights[:, None])
+
+    def gram(self, m: int) -> np.ndarray:
+        """L^2(S^{d-1}) Gram matrix of the degree-m basis functions in force."""
+        if self.kind == FOURIER2D or self.normalization == ORTHONORMAL:
+            return np.eye(harmonic_dim(self.dim, m))
+        return self._raw_gram(m)
 
     def values(self, m: int, theta) -> np.ndarray:
         """Degree-m basis values at theta, respecting the normalization flag."""
@@ -353,9 +349,6 @@ class BasisSpec:
         if self.normalization == ORTHONORMAL and self.kind != FOURIER2D:
             F = F @ self.ortho_transform(m)
         return F
-
-    def describe(self) -> str:
-        return f"{self.kind}(d={self.dim}, {self.normalization})"
 
 
 def fourier2d_basis() -> BasisSpec:

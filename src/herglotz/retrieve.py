@@ -16,6 +16,7 @@ from .field import (
     BOTH,
     HerglotzField,
     MagnitudeData,
+    _best_unimodular,
     add_fields,
     conjugate_field,
     eval_field_grid,
@@ -137,22 +138,13 @@ def classify_modes(u: HerglotzField, v: HerglotzField, tol: float = 1e-9) -> dic
         ref_i = np.array([up, um])
         ref_c = np.array([np.conj(um), np.conj(up)])
         cand = np.array([vp, vm])
-
-        def relate(ref):
-            k = int(np.argmax(np.abs(ref)))
-            kap = cand[k] / ref[k]
-            if abs(kap) == 0:
-                return None, math.inf
-            kap = kap / abs(kap)
-            return complex(kap), float(np.abs(cand - kap * ref).max())
-
-        kap_i, res_i = relate(ref_i)
-        kap_c, res_c = relate(ref_c)
+        kap_i, res_i = _best_unimodular(cand, ref_i)
+        kap_c, res_c = _best_unimodular(cand, ref_c)
         type_i = res_i <= tol * scale
         type_c = res_c <= tol * scale
         is_r_shape = abs(abs(up) - abs(um)) <= tol * scale and abs(up) > tol * scale
         type_r = is_r_shape and type_i and type_c
-        kappa = kap_i if type_i else (kap_c if type_c else None)
+        kappa = complex(kap_i) if type_i else (complex(kap_c) if type_c else None)
         theta = None
         if type_r:
             theta = float(-np.angle(um / up) / 2.0)
@@ -241,11 +233,6 @@ def _finish(candidate: HerglotzField, data: MagnitudeData, branch: str, modes,
 # d = 2 retrieval
 
 
-def _zero_field_result(data, branch):
-    zero = HerglotzField.zero(2, data.max_degree, harmonics.fourier2d_basis())
-    return _finish(zero, data, branch, [])
-
-
 def retrieve_2d(data: MagnitudeData, accept_tol: float = ACCEPT_TOL) -> RetrievalResult:
     """Complete 2-D reconstruction from magnitude data.
 
@@ -264,22 +251,19 @@ def retrieve_2d(data: MagnitudeData, accept_tol: float = ACCEPT_TOL) -> Retrieva
     p = {m: data.fourier_coeff(m, m, 2 * m) for m in range(1, M + 1)}
 
     if all(v <= active_tol for v in s.values()):
-        return _zero_field_result(data, "zero")
+        zero = HerglotzField.zero(2, M, harmonics.fourier2d_basis())
+        return _finish(zero, data, "zero", [])
 
     if s[0] > active_tol:
         return _retrieve_mean(data, harmonics.fourier2d_basis(), s[0], accept_tol)
-    return _retrieve_2d_zero_mean(data, s, p, accept_tol)
+    active = [m for m in range(1, M + 1) if s[m] > active_tol]
+    return _retrieve_2d_zero_mean(data, s, p, active, accept_tol)
 
 
-def _retrieve_2d_zero_mean(data, s, p, accept_tol) -> RetrievalResult:
+def _retrieve_2d_zero_mean(data, s, p, active, accept_tol) -> RetrievalResult:
+    """Zero-mean branch over the active modes m >= 1; retrieve_2d passes at least one."""
     M = data.max_degree
     basis = harmonics.fourier2d_basis()
-    scale = 1.0 + data.max_abs()
-    active_tol = max(ACTIVE_TOL, 1e-12 * scale)
-    active = [m for m in range(1, M + 1) if s[m] > active_tol]
-    if not active:
-        return _zero_field_result(data, "zero")
-
     pairs = {m: solve_pair(s[m], p[m], tol=1e-7) for m in active}
     disc = {m: s[m] ** 2 - 4 * abs(p[m]) ** 2 for m in active}
     modes = [

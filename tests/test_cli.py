@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from herglotz import fileio
+from herglotz import fileio, specfun
 from herglotz.cli import main
 from herglotz.extract import extract_magnitude_data, radial_grid
-from herglotz.field import magnitude_coeffs, random_field, sample_magnitude, trivially_equivalent
+from herglotz.field import (
+    MagnitudeData,
+    magnitude_coeffs,
+    random_field,
+    sample_magnitude,
+    trivially_equivalent,
+)
 from herglotz.fileio import FileFormatError
 from herglotz.harmonics import BasisSpec, fourier2d_basis
 from herglotz.retrieve import retrieve_2d, retrieve_3d_mean
@@ -196,6 +202,32 @@ def test_retrieve_branch_table(tmp_path, capsys, dim, branch):
             assert out.read_bytes() == auto.read_bytes()
 
 
+def test_retrieve_auto_d3_reports_the_last_branch(tmp_path, capsys):
+    # mean, sparse and real all reject the data; real's reason is the one printed
+    basis = BasisSpec("zonal", 3)
+    data = magnitude_coeffs(random_field(3, 3, basis, 1))
+    table = data.table.copy()
+    table[0, 1] *= 2
+    d = tmp_path / "u.data"
+    fileio.write_data(str(d), MagnitudeData(3, data.grid, table), basis)
+    capsys.readouterr()
+    assert run(["retrieve", str(d), "--out", str(tmp_path / "v.field")]) == 2
+    err = capsys.readouterr().err
+    assert "degree 1 cross data inconsistent with its diagonal" in err
+
+
+def test_retrieve_on_a_grid_file_extracts_first(tmp_path, capsys):
+    f, g, d = tmp_path / "u.field", tmp_path / "u.grid", tmp_path / "u.data"
+    via_data, via_grid = tmp_path / "a.field", tmp_path / "b.field"
+    assert run(["gen", "--dim", "2", "--max-degree", "3", "--seed", "7", "--out", str(f)]) == 0
+    assert run(["sample", str(f), "--out", str(g)]) == 0
+    assert run(["extract", str(g), "--out", str(d)]) == 0
+    assert run(["retrieve", str(d), "--out", str(via_data)]) == 0
+    assert run(["retrieve", str(g), "--out", str(via_grid)]) == 0
+    capsys.readouterr()
+    assert via_grid.read_bytes() == via_data.read_bytes()
+
+
 def test_verify_identity_output(tmp_path, capsys):
     f1 = tmp_path / "a.field"
     f2 = tmp_path / "b.field"
@@ -254,6 +286,18 @@ def test_canon_collapses_gauge(tmp_path):
     assert max(np.abs(x - y).max() for x, y in zip(a.coeffs, b.coeffs)) < 1e-13
 
 
+_SPECFUN_CALLS = [
+    (["bessel-j", "--nu", "1.5", "--r", "2.5"], lambda: specfun.bessel_j(1.5, 2.5)),
+    (["bessel-bound", "--nu", "2.5", "--r", "3"], lambda: specfun.bessel_bound(2.5, 3.0)),
+    (["gegenbauer", "--degree", "5", "--lam", "1.5", "--z", "0.3"],
+     lambda: specfun.gegenbauer(5, 1.5, 0.3)),
+    (["product-series", "--n", "2", "--m", "3", "--alpha", "0.5", "--r", "1.7"],
+     lambda: specfun.bessel_product_series(2, 3, 0.5, 1.7)),
+    (["product-integral", "--n", "1", "--m", "1", "--alpha", "0.5", "--r", "0.7"],
+     lambda: specfun.bessel_product_integral(1, 1, 0.5, 0.7, 512)),
+]
+
+
 def test_specfun_subcommand(tmp_path, capsys):
     assert run(["specfun", "bessel-j", "--nu", "0", "--r", "0"]) == 0
     out = capsys.readouterr().out
@@ -261,9 +305,10 @@ def test_specfun_subcommand(tmp_path, capsys):
     assert run(["specfun", "gegenbauer", "--degree", "2", "--lam", "1", "--z", "0.5"]) == 0
     out = capsys.readouterr().out
     assert abs(float(out.strip().split("=")[1])) < 1e-14
-    assert run(["specfun", "product-integral", "--n", "1", "--m", "1",
-                "--alpha", "0.5", "--r", "0.7"]) == 0
-    capsys.readouterr()
+    # every subcommand prints its library function's value to 17 digits
+    for argv, value in _SPECFUN_CALLS:
+        assert run(["specfun"] + argv) == 0
+        assert capsys.readouterr().out == f"value={format(value(), '.17g')}\n"
 
 
 def test_usage_error_exit_code():

@@ -117,6 +117,26 @@ def test_gegenbauer_exact_mode():
         5, 2
     ) * Fraction(1, 27) - Fraction(3, 2) * Fraction(1, 3)
     assert gegenbauer(0, Fraction(2), Fraction(7, 5), exact=True) == 1
+    # values of the explicit finite sum over (lam)_{m-k} / (k! (m-2k)!)
+    for m, lam, z, value in [
+        (5, Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)),
+        (4, Fraction(1), Fraction(1, 5), Fraction(341, 625)),
+        (6, Fraction(3, 2), Fraction(-2, 7), Fraction(347671, 268912)),
+        (7, Fraction(2), Fraction(7, 5), Fraction(377117832, 78125)),
+        (9, Fraction(1, 3), Fraction(1, 2), Fraction(-219713, 1594323)),
+        (1, Fraction(5, 2), Fraction(-3, 4), Fraction(-15, 4)),
+    ]:
+        out = gegenbauer(m, lam, z, exact=True)
+        assert isinstance(out, Fraction) and out == value
+
+
+@pytest.mark.parametrize("m", [6, 10, 20, 30])
+@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1), Fraction(3, 2)])
+def test_gegenbauer_float_matches_exact(m, lam):
+    zs = [Fraction(k, 64) for k in range(-64, 65)]
+    exact = np.array([float(gegenbauer(m, lam, z, exact=True)) for z in zs])
+    approx = gegenbauer(m, float(lam), np.array([float(z) for z in zs]))
+    assert np.abs(approx - exact).max() <= 2e-15 * np.abs(exact).max()
 
 
 def test_gegenbauer_rejects_bad_parameters():
