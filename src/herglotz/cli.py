@@ -11,7 +11,13 @@ import sys
 import numpy as np
 
 from . import fileio, harmonics, specfun
-from .extract import NonZonalDataError, extract_magnitude_data, radial_grid
+from .extract import (
+    DegreeUnresolvableError,
+    ExtractionRankError,
+    NonZonalDataError,
+    extract_magnitude_data,
+    radial_grid,
+)
 from .field import (
     comparison_tol,
     degree_power,
@@ -291,7 +297,10 @@ def main(argv=None) -> int:
         extra = f" (residual {e.residual:.3e})" if e.residual is not None else ""
         print(f"error: inconsistent data: {e}{extra}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (BranchNotApplicableError, NonZonalDataError) as e:
+    except DegreeUnresolvableError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INCONSISTENT
+    except (BranchNotApplicableError, ExtractionRankError, NonZonalDataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BRANCH
     except (FileNotFoundError, ValueError) as e:  # FileFormatError is a ValueError

@@ -7,20 +7,23 @@ radial unmixing of each profile over the Bessel-product dictionary
     g_q(r) ~= sum_{(m,n) compatible with q} gamma_{m,n} 2 pi r^{-(d-2)}
               J_{nu(m)}(r) J_{nu(n)}(r).
 
-The per-profile design matrices are generalized Vandermonde systems whose
-conditioning grows steeply with the truncation degree, so the extraction's
-profile solves run at WORK_DPS significant digits; double-precision input
-samples then limit the attainable accuracy, not the solver. These solves work
-in fixed point: the columns and the right-hand side become Python integers
-scaled by 2^(mp.prec + GUARD_BITS), and one least-squares kernel
-(_mp_qr_solve) serves the lstsq, taylor and d = 3 joint unmixing. They take
-their precision from mpmath's global context: parallelize across processes,
-not threads.
+The design matrices are generalized Vandermonde systems whose conditioning
+grows steeply with the truncation degree. Double-precision samples are
+unmixed in double precision: one kernel (_f64_lstsq) scales the columns to
+unit norm, factorizes them with numpy QR and takes one refinement step whose
+residual is accumulated in np.longdouble. It serves the d = 2 "float64"
+profile solves and the d = 3 joint solve; a d = 2 profile whose condition
+estimate exceeds CONDITION_WARN falls back to the 50-digit solve, and the
+d = 3 joint raises ExtractionRankError. Object arrays of mp samples keep the
+50-digit solves, which work in fixed point: the columns and the right-hand
+side become Python integers scaled by 2^(mp.prec + GUARD_BITS), and one
+least-squares kernel (_mp_qr_solve) serves the lstsq and taylor unmixing.
+They take their precision from mpmath's global context: parallelize across
+processes, not threads.
 
 estimate_max_degree reads only residuals, so it unmixes with the "float64"
-method: the same least squares in double precision, which hands any profile
-whose design condition exceeds CONDITION_WARN to the 50-digit solve. The
-extraction at the chosen degree is always the 50-digit one.
+method whatever the samples' precision; for d = 2 it raises
+DegreeUnresolvableError when angular content lies above twice its estimate.
 """
 
 import math
@@ -38,14 +41,23 @@ WORK_DPS = 50
 # fraction bits beyond mp.prec carried by the fixed-point least-squares solve
 GUARD_BITS = 64
 CONDITION_WARN = 1e10
+# angular components beyond 2M above this multiple of the sample scale are
+# content of a higher degree: 64 eps, the rounding level of the double DFT
+TRUNCATION_FLOOR = 64 * np.finfo(float).eps
 
 
 class ExtractionRankError(RuntimeError):
     """Design matrix lost column rank; names the colliding pairs."""
 
-    def __init__(self, pairs):
-        super().__init__(f"rank-deficient unmixing system; colliding pairs: {pairs}")
+    def __init__(self, pairs, condition=None):
+        why = "" if condition is None else f" (condition estimate {condition:.2e})"
+        super().__init__(f"rank-deficient unmixing system{why}; colliding pairs: {pairs}")
         self.pairs = pairs
+        self.condition = condition
+
+
+class DegreeUnresolvableError(RuntimeError):
+    """The samples hold angular content above twice the estimated degree."""
 
 
 class NonZonalDataError(ValueError):
@@ -175,19 +187,13 @@ def compatible_pairs(q: int, M: int, d: int) -> list:
 # per-profile unmixing (arbitrary precision internals)
 
 
-def _bessel_rows(orders, radii, d):
-    """J_{nu(m)} at the radii for each order m, and the prefactors
-    2 pi r^{-(d-2)}, as mpf lists at the working precision."""
-    jcache = {
-        m: [bessel_j_mp(nu_order(m, d), mpf(r)) for r in radii] for m in orders
-    }
-    pref = [2 * mp.pi / mpf(r) ** (d - 2) for r in radii]
-    return jcache, pref
-
-
 def _mp_columns(pairs, radii, d):
     """Column functions 2 pi r^{-(d-2)} J_{nu(m)} J_{nu(n)} at the radii, as mpf lists."""
-    jcache, pref = _bessel_rows(sorted({m for p in pairs for m in p}), radii, d)
+    jcache = {
+        m: [bessel_j_mp(nu_order(m, d), mpf(r)) for r in radii]
+        for m in sorted({m for p in pairs for m in p})
+    }
+    pref = [2 * mp.pi / mpf(r) ** (d - 2) for r in radii]
     cols = []
     for (m, n) in pairs:
         cols.append([pref[i] * jcache[m][i] * jcache[n][i] for i in range(len(radii))])
@@ -265,7 +271,6 @@ def _taylor_gamma(pairs, profile, d):
     """Triangular Taylor matching: fit even powers of r about 0 on the inner
     third of the radial grid, then solve the series-coefficient system induced
     by the leading orders r^{m+n+2alpha} of the product expansions."""
-    q = profile.frequency
     alpha = (d - 2) / 2.0
     radii = profile.radii
     n_inner = max(len(radii) // 3, min(len(radii), 8))
@@ -321,30 +326,48 @@ def _lstsq_unmix(profile, pairs, d):
     return UnmixReport(profile.frequency, gamma, math.hypot(res_r, res_i), cond, "lstsq")
 
 
+def _f64_lstsq(A, B):
+    """Least squares A Y ~= B in double precision, one column of Y per column of B.
+
+    The columns of A are scaled to unit norm and factorized by numpy QR; the
+    condition estimate is max|R_jj| / min|R_jj| (inf for a vanishing column or
+    a singular R; a system with fewer rows than columns is padded with zero
+    rows, so its R diagonal shows the rank it lacks). Above CONDITION_WARN the
+    system is not solved. Otherwise one refinement step takes the residual
+    B - A Y with np.longdouble accumulation and adds R^-1 Q^T of it to Y.
+
+    Returns (Y or None, residual norms per column of B or None, condition
+    estimate, |R_jj| of the unit-norm columns).
+    """
+    rows, ncols = A.shape
+    norms = np.linalg.norm(A, axis=0)
+    U = A / np.where(norms > 0, norms, 1.0)
+    Q, R = np.linalg.qr(U if rows >= ncols else np.vstack([U, np.zeros((ncols - rows, ncols))]))
+    diag = np.abs(np.diag(R))
+    cond = float(diag.max() / diag.min()) if diag.min() > 0 else math.inf
+    if not cond <= CONDITION_WARN:
+        return None, None, cond, diag
+    Y = np.linalg.solve(R, Q.T @ B)
+    Ul = U.astype(np.longdouble)
+    resid = B - Ul @ Y
+    Y = Y + np.linalg.solve(R, Q.T @ resid.astype(float))
+    resid = np.sqrt(np.sum((B - Ul @ Y) ** 2, axis=0))
+    return Y / norms[:, None], resid.astype(float), cond, diag
+
+
 def _float64_unmix(profile, pairs, d):
-    """Least squares in double precision through numpy QR of the unit-norm
-    columns, or None when a column vanishes, R is singular or its condition
-    estimate max|R_jj| / min|R_jj| exceeds CONDITION_WARN."""
+    """The "float64" report for one profile, from the double Bessel values, or
+    None when _f64_lstsq does not trust the system."""
     radii = profile.radii
     jrow = {m: bessel_j(nu_order(m, d), radii) for m in sorted({m for p in pairs for m in p})}
     pref = 2 * np.pi / radii ** (d - 2)
     A = np.column_stack([pref * jrow[m] * jrow[n] for m, n in pairs])
-    norms = np.linalg.norm(A, axis=0)
-    if not np.all(norms > 0):
-        return None
-    Q, R = np.linalg.qr(A / norms)
-    diag = np.abs(np.diag(R))
-    if not diag.min() > 0:
-        return None
-    cond = float(diag.max() / diag.min())
-    if cond > CONDITION_WARN:
-        return None
     values = np.asarray(profile.values, dtype=complex)
-    b = np.column_stack([values.real, values.imag])
-    x = np.linalg.solve(R, Q.T @ b) / norms[:, None]
-    res_r, res_i = np.linalg.norm(b - A @ x, axis=0)
+    x, resid, cond, _ = _f64_lstsq(A, np.column_stack([values.real, values.imag]))
+    if x is None:
+        return None
     gamma = {p: complex(x[j, 0], x[j, 1]) for j, p in enumerate(pairs)}
-    return UnmixReport(profile.frequency, gamma, math.hypot(res_r, res_i), cond, "float64")
+    return UnmixReport(profile.frequency, gamma, math.hypot(*resid), cond, "float64")
 
 
 def radial_unmix(profile: RadialProfile, M: int, d: int, method: str = "lstsq") -> UnmixReport:
@@ -353,10 +376,12 @@ def radial_unmix(profile: RadialProfile, M: int, d: int, method: str = "lstsq") 
     method "lstsq": least squares over the radial grid through an orthogonal
     factorization at WORK_DPS digits; method "taylor": triangular Taylor
     matching about r = 0, at WORK_DPS digits; method "float64": the same least
-    squares as "lstsq" in double precision, from the double Bessel values. A
-    "float64" solve whose design has a vanishing column, a singular R or a
-    condition estimate above CONDITION_WARN is not trusted: the profile gets
-    the "lstsq" report instead, and the report's method says so.
+    squares as "lstsq" in double precision, from the double Bessel values,
+    with one refinement step whose residual is accumulated in np.longdouble
+    (the default of extract_magnitude_data for double samples). A "float64"
+    solve whose design has a vanishing column, a singular R or a condition
+    estimate above CONDITION_WARN is not trusted: the profile gets the "lstsq"
+    report instead, and the report's method says so.
     """
     q = profile.frequency
     pairs = compatible_pairs(q, M, d)
@@ -401,61 +426,53 @@ def _assemble_2d(reports, M, grid) -> MagnitudeData:
     return MagnitudeData(2, grid, table)
 
 
-def _legendre_triple(m, n, q):
-    """(2q+1)/2 * int_{-1}^{1} P_m P_n P_q dt (the linearization coefficient)."""
-    t, w = np.polynomial.legendre.leggauss((m + n + q) // 2 + 2)
-    return (2 * q + 1) / 2.0 * float(
-        np.sum(w * gegenbauer(m, 0.5, t) * gegenbauer(n, 0.5, t) * gegenbauer(q, 0.5, t))
-    )
+def _legendre_triples(M):
+    """beta[m, n, q] = (2q+1)/2 * int_{-1}^{1} P_m P_n P_q dt for m, n <= M and
+    q <= 2M (the linearization coefficients), from one Gauss-Legendre rule
+    exact to degree 4M + 1."""
+    t, w = np.polynomial.legendre.leggauss(2 * M + 1)
+    P = np.array([gegenbauer(q, 0.5, t) for q in range(2 * M + 1)])
+    half = (2 * np.arange(2 * M + 1) + 1) / 2.0
+    return np.einsum("mi,ni,qi->mnq", P[:M + 1], P[:M + 1], P * w) * half
 
 
 def _extract_3d_joint(profiles, M, grid):
     """Joint least squares over all Gegenbauer components for the products
-    Re(a_m conj(a_n)) of a zonal field.
+    Re(a_m conj(a_n)) of a zonal field, in double precision (angular_decompose
+    rounds d = 3 profiles to float).
 
     The per-component radial families contain exactly dependent Bessel-product
     quadruples (see radial_unmix), so single components cannot be unmixed in
-    isolation; the coupled system across components is well conditioned.
+    isolation; the coupled system across components is well conditioned. A
+    condition estimate above CONDITION_WARN raises ExtractionRankError naming
+    the pairs whose R diagonal falls below max|R_jj| / CONDITION_WARN.
     """
     pairs = [(m, n) for m in range(M + 1) for n in range(m, M + 1)]
+    iu = np.triu_indices(M + 1)  # the pairs, in the same order
     radii = profiles[0].radii
     used = [p for p in profiles if p.frequency <= 2 * M]
     rest = [p for p in profiles if p.frequency > 2 * M]
-    with mp.workdps(WORK_DPS):
-        jcache, pref = _bessel_rows(range(M + 1), radii, 3)
-        cols = [[] for _ in pairs]
-        rhs = []
-        for prof in used:
-            q = prof.frequency
-            vals = _mp_parts(prof.values)[0]
-            rhs.extend(vals)
-            for j, (m, n) in enumerate(pairs):
-                beta = _legendre_triple(m, n, q)
-                mult = (1.0 if m == n else 2.0) * beta
-                if abs(mult) < 1e-13:
-                    cols[j].extend([mpf(0)] * len(radii))
-                else:
-                    mm = mpf(mult)
-                    cols[j].extend(
-                        mm * pref[i] * jcache[m][i] * jcache[n][i]
-                        for i in range(len(radii))
-                    )
-        sol, cond, resid, defic = _mp_qr_solve(cols, rhs)
-        if defic:
-            raise ExtractionRankError([pairs[j] for j in defic])
-        x = {p: float(sol[j]) for j, p in enumerate(pairs)}
-    reports = [
-        UnmixReport(-1, dict(x), float(resid), cond, "joint-lstsq",
-                    warnings=([f"condition estimate {cond:.2e} above threshold"]
-                              if cond > CONDITION_WARN else []))
-    ]
+    mult = _legendre_triples(M)[iu] * np.where(iu[0] == iu[1], 1.0, 2.0)[:, None]
+    mult[np.abs(mult) < 1e-13] = 0.0
+    jrow = np.array([bessel_j(nu_order(m, 3), radii) for m in range(M + 1)])
+    prod = 2 * np.pi / radii * jrow[iu[0]] * jrow[iu[1]]  # (pair, radius)
+    # rows: radii within each used component; columns: pairs
+    cols = mult[:, [p.frequency for p in used]].T[:, None, :] * prod.T[None, :, :]
+    rhs = np.concatenate([np.asarray(p.values, dtype=float) for p in used])
+    x, resid, cond, diag = _f64_lstsq(cols.reshape(len(rhs), len(pairs)), rhs[:, None])
+    if x is None:
+        raise ExtractionRankError(
+            [pairs[j] for j in np.flatnonzero(diag < diag.max() / CONDITION_WARN)], cond
+        )
+    reports = [UnmixReport(-1, dict(zip(pairs, x[:, 0].tolist())), float(resid[0]), cond,
+                           "joint-float64")]
     for prof in rest:
         norm = max((abs(complex(v)) for v in prof.values), default=0.0)
-        reports.append(UnmixReport(prof.frequency, {}, norm, 1.0, "joint-lstsq",
+        reports.append(UnmixReport(prof.frequency, {}, norm, 1.0, "joint-float64",
                                    warnings=[] if norm < 1e-12 else
                                    [f"component beyond 2*max_degree has norm {norm:.2e}"]))
     gamma = np.zeros((M + 1, M + 1))
-    gamma[np.triu_indices(M + 1)] = [x[p] for p in pairs]
+    gamma[iu] = x[:, 0]
     legendre = np.array([gegenbauer(m, 0.5, grid.polar_t) for m in range(M + 1)])
     profile = gamma[:, :, None] * legendre[:, None, :] * legendre[None, :, :]
     return MagnitudeData(3, grid, np.repeat(profile, grid.azimuth_count, axis=2)), reports
@@ -464,20 +481,43 @@ def _extract_3d_joint(profiles, M, grid):
 def estimate_max_degree(samples: MagnitudeGrid, d: int, cap: int = 16) -> int:
     """Estimate the truncation degree from the active angular bandwidth,
     refining upward while the unmixing residual keeps improving. Only the
-    residuals are read, so the candidate unmixings use the "float64" method."""
+    residuals are read, so the candidate unmixings use the "float64" method.
+
+    For d = 2, an angular profile above frequency 2M that exceeds
+    TRUNCATION_FLOOR * scale after the estimate M is content a degree-M field
+    cannot hold: DegreeUnresolvableError, rather than a silently truncated
+    degree.
+    """
     profiles = angular_decompose(samples, d)
     scale = float(np.max(np.abs(np.asarray(samples.values, dtype=float)))) + 1.0
-    act = [p.frequency for p in profiles
-           if np.max(np.abs(np.asarray(p.values, dtype=complex))) > 1e-10 * scale]
+    peaks = {p.frequency: float(np.max(np.abs(np.asarray(p.values, dtype=complex))))
+             for p in profiles}
+    act = [q for q, peak in peaks.items() if peak > 1e-10 * scale]
     guess = max((q + 1) // 2 for q in act) if act else 0
     if d == 3:
         # zonal diagonals always land in the top Gegenbauer component, so the
         # bandwidth estimate is already the truncation degree
         return guess
+    M = _residual_degree(profiles, guess, cap, scale)
+    floor = TRUNCATION_FLOOR * scale
+    above = {q: peak for q, peak in peaks.items() if q > 2 * M and peak > floor}
+    if above:
+        q = max(above, key=above.get)
+        raise DegreeUnresolvableError(
+            f"degree {M + 1} unresolvable: the estimate is {M}, but angular component "
+            f"{q} holds {above[q]:.3e}, above the rounding floor {floor:.3e} of "
+            f"components beyond {2 * M}"
+        )
+    return M
+
+
+def _residual_degree(profiles, guess, cap, scale):
+    """The d = 2 degree, from guess upward, whose float64 unmixing residual is
+    below 1e-8 * scale or stops improving tenfold."""
     prev = None
     for M in range(guess, cap + 1):
         try:
-            _, total = _extract_with_residual(profiles, d, M, "float64")
+            _, total = _extract_with_residual(profiles, 2, M, "float64")
         except ValueError:
             break
         if total <= 1e-8 * scale:
@@ -499,18 +539,24 @@ def _extract_with_residual(profiles, d, M, method):
 
 
 def extract_magnitude_data(
-    samples: MagnitudeGrid, d: int, M: int | None = None, method: str = "lstsq"
+    samples: MagnitudeGrid, d: int, M: int | None = None, method: str | None = None
 ):
     """Recover the full magnitude data from gridded |u|^2 samples.
 
     Returns (MagnitudeData, list of UnmixReport). The reports carry residual
     norms and condition estimates; a truncation degree below the true content
     shows up as an elevated residual rather than failing silently.
+
+    d = 2 profiles are unmixed with ``method`` (see radial_unmix); by default,
+    "float64" for double samples and "lstsq" for object arrays of mp numbers.
+    d = 3 zonal data take one joint double-precision solve across components.
     """
     if M is None:
         M = estimate_max_degree(samples, d)
     profiles = angular_decompose(samples, d)
     if d == 2:
+        if method is None:
+            method = "lstsq" if samples.values.dtype == object else "float64"
         reports, _ = _extract_with_residual(profiles, d, M, method)
         data = _assemble_2d(reports, M, samples.grid)
         return data, reports

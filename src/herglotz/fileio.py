@@ -327,7 +327,8 @@ def parse_data(text: str):
             q = int(args[0])
             if q in fourier.setdefault(pair, {}):
                 raise FileFormatError(f"repeated fourier {q} record for pair {pair[0]} {pair[1]}", i)
-            fourier[pair][q] = (i, float(args[1]) + 1j * float(args[2]))
+            # complex() keeps the sign of a zero imaginary part; re + 1j * im does not
+            fourier[pair][q] = (i, complex(float(args[1]), float(args[2])))
         elif pair in samples:
             raise FileFormatError(f"repeated samples record for pair {pair[0]} {pair[1]}", i)
         else:

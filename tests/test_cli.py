@@ -521,3 +521,31 @@ def test_extract_d3_nonzonal_exits_3(tmp_path, capsys):
     assert err.startswith("error: d=3 samples are not zonal: azimuthal spread ")
     assert "only zonal d = 3 data" in err
     assert not d.exists()
+
+
+def test_extract_truncated_degree_exits_2(tmp_path, capsys):
+    # 48 radii cannot resolve degree 7 of this field: the estimate stops at 6
+    # while the angular components above 12 still hold content
+    f, g, d = (tmp_path / n for n in ("u.field", "u.grid", "u.data"))
+    assert run(["gen", "--dim", "2", "--max-degree", "7", "--seed", "7000", "--out", str(f)]) == 0
+    assert run(["sample", str(f), "--out", str(g)]) == 0
+    capsys.readouterr()
+    assert run(["extract", str(g), "--out", str(d)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: degree 7 unresolvable: the estimate is 6")
+    assert not d.exists()
+
+
+def test_d3_rank_loss_exits_3(tmp_path, capsys):
+    # 2 radii cannot determine the 28 pairs of a zonal M = 6 field
+    f, g, d, v = (tmp_path / n for n in ("u.field", "u.grid", "u.data", "v.field"))
+    assert run(["gen", "--dim", "3", "--zonal", "--max-degree", "6", "--seed", "1",
+                "--out", str(f)]) == 0
+    assert run(["sample", str(f), "--radial-nodes", "2", "--out", str(g)]) == 0
+    for cmd in (["extract", str(g), "--out", str(d)], ["retrieve", str(g), "--out", str(v)]):
+        capsys.readouterr()
+        assert run(cmd) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: rank-deficient unmixing system")
+        assert "colliding pairs: [(" in err
+    assert not d.exists() and not v.exists()

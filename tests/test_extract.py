@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from herglotz import extract
 from herglotz.extract import (
     CONDITION_WARN,
     WORK_DPS,
+    DegreeUnresolvableError,
     ExtractionRankError,
     RadialProfile,
     angular_decompose,
@@ -15,18 +17,20 @@ from herglotz.extract import (
     extract_magnitude_data,
     radial_grid,
     radial_unmix,
+    _legendre_triples,
     _mp_columns,
     _mp_qr_solve,
 )
 from herglotz.field import (
     HerglotzField,
+    MagnitudeData,
     MagnitudeGrid,
     magnitude_coeffs,
     random_field,
     sample_magnitude,
 )
 from herglotz.harmonics import BasisSpec, SphereGrid, fourier2d_basis, sphere_grid
-from herglotz.specfun import bessel_j
+from herglotz.specfun import bessel_j, gegenbauer
 
 F2 = fourier2d_basis()
 Z3 = BasisSpec("zonal", 3)
@@ -353,3 +357,99 @@ def test_estimate_max_degree_high_precision_samples():
         g = sample_magnitude(u, radial_grid(48), 4 * M + 5, dps=40)
         copy = MagnitudeGrid(2, g.radii, g.grid, np.asarray(g.values, dtype=float))
         assert estimate_max_degree(g, 2) == estimate_max_degree(copy, 2) == M
+
+
+def test_default_extraction_of_double_grids_runs_in_float64(monkeypatch):
+    # double samples on the sample command's default grid: every d = 2 profile
+    # is unmixed in double precision, and no arbitrary-precision Bessel value
+    # is computed, neither by the degree estimate nor by the extraction
+    calls = []
+    original = extract.bessel_j_mp
+    monkeypatch.setattr(extract, "bessel_j_mp", lambda *a: calls.append(a) or original(*a))
+    for M in range(1, 7):
+        u = random_field(2, M, F2, seed=40 + M)
+        g = sample_magnitude(u, radial_grid(48), 4 * M + 5)
+        data, reports = extract_magnitude_data(g, 2)
+        assert data.max_degree == M
+        assert {rep.method for rep in reports} == {"float64"}
+    assert calls == []
+
+
+def test_default_extraction_of_mp_grids_stays_at_50_digits():
+    u = random_field(2, 3, F2, seed=44)
+    g = sample_magnitude(u, radial_grid(32), 17, dps=40)
+    _, reports = extract_magnitude_data(g, 2, 3)
+    assert {rep.method for rep in reports} == {"lstsq"}
+
+
+@pytest.mark.parametrize("family", ["generic", "all_r", "zero_mean"])
+def test_float64_extraction_is_as_accurate_as_50_digits_d2(family):
+    # over 12 seeds per family and M, the float64 deviation was at most 2.4
+    # times the 50-digit one (median 0.4 to 1.0)
+    flags = {} if family == "generic" else {family: True}
+    for M in (3, 4, 5):
+        for seed in (40 + 10 * M, 41 + 10 * M):
+            u = random_field(2, M, F2, seed, **flags)
+            g = sample_magnitude(u, radial_grid(48), 4 * M + 5)
+            fast, _ = extract_magnitude_data(g, 2, M)
+            slow, _ = extract_magnitude_data(g, 2, M, method="lstsq")
+            truth = magnitude_coeffs(u, fast.grid)
+            assert truth.deviation(fast) <= 3 * truth.deviation(slow), (M, seed)
+
+
+def _mp_joint_data(g, M):
+    """The d = 3 joint least squares over the Gegenbauer components at 50
+    digits, from the arbitrary-precision Bessel columns."""
+    pairs = [(m, n) for m in range(M + 1) for n in range(m, M + 1)]
+    profiles = [p for p in angular_decompose(g, 3) if p.frequency <= 2 * M]
+    beta = _legendre_triples(M)
+    with mp.workdps(WORK_DPS):
+        base = _mp_columns(pairs, g.radii, 3)
+        cols = [
+            [mpf((1 if m == n else 2) * beta[m, n, p.frequency]) * v for p in profiles for v in col]
+            for (m, n), col in zip(pairs, base)
+        ]
+        rhs = [mpf(float(v)) for p in profiles for v in p.values]
+        sol, _, _, deficient = _mp_qr_solve(cols, rhs)
+    assert not deficient
+    gamma = np.zeros((M + 1, M + 1))
+    for (m, n), v in zip(pairs, sol):
+        gamma[m, n] = float(v)
+    legendre = np.array([gegenbauer(m, 0.5, g.grid.polar_t) for m in range(M + 1)])
+    table = gamma[:, :, None] * legendre[:, None, :] * legendre[None, :, :]
+    return np.repeat(table, g.grid.azimuth_count, axis=2)
+
+
+@pytest.mark.parametrize("M", [4, 5, 6])
+def test_float64_extraction_is_as_accurate_as_50_digits_d3(M):
+    # over 20 seeds per M the two solves' data digits agreed within 0.01
+    for seed in (50 + M, 60 + M):
+        u = random_field(3, M, Z3, seed=seed, zonal=True)
+        g = sample_magnitude(u, radial_grid(48), 2 * M + 4)
+        fast, reports = extract_magnitude_data(g, 3, M)
+        assert reports[0].method == "joint-float64"
+        truth = magnitude_coeffs(u, fast.grid)
+        slow = MagnitudeData(3, fast.grid, _mp_joint_data(g, M))
+        assert truth.deviation(fast) <= 3 * truth.deviation(slow), seed
+
+
+@pytest.mark.parametrize("radii", [
+    radial_grid(2),  # 2 radii x 13 components cannot determine 28 pairs
+    np.array([0.5, 0.5 + 1e-6, 0.5 + 2e-6]),  # nearly coincident rows
+])
+def test_d3_joint_rank_loss_names_the_pairs(radii):
+    u = random_field(3, 6, Z3, seed=1, zonal=True)
+    g = sample_magnitude(u, radii, 16)
+    with pytest.raises(ExtractionRankError) as exc:
+        extract_magnitude_data(g, 3, 6)
+    assert exc.value.condition > CONDITION_WARN
+    assert exc.value.pairs and all(0 <= m <= n <= 6 for m, n in exc.value.pairs)
+
+
+def test_truncated_degree_estimate_raises():
+    # a degree-7 field on 48 radii: the residuals stop improving at 6, but
+    # the profiles above frequency 12 hold content far above rounding
+    u = random_field(2, 7, F2, seed=7000)
+    g = sample_magnitude(u, radial_grid(48), 33)
+    with pytest.raises(DegreeUnresolvableError, match="degree 7 unresolvable"):
+        estimate_max_degree(g, 2)
