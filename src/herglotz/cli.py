@@ -103,7 +103,7 @@ def cmd_extract(args) -> int:
     )
     scale = 1.0 + float(np.max(np.abs(np.asarray(grid.values, dtype=float))))
     for rep in reports:
-        if rep.residual > 1e-9 * scale or any("condition" in w for w in rep.warnings):
+        if rep.residual > 1e-9 * scale:
             for w in rep.warnings or [f"residual {rep.residual:.3e}"]:
                 print(f"warning: component {rep.frequency}: {w}", file=sys.stderr)
     return EXIT_OK

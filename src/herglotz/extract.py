@@ -12,17 +12,17 @@ grows steeply with the truncation degree. Double-precision samples are
 unmixed in double precision: one kernel (_f64_lstsq) scales the columns to
 unit norm, factorizes them with numpy QR and takes one refinement step whose
 residual is accumulated in np.longdouble. It serves the d = 2 "float64"
-profile solves and the d = 3 joint solve; a d = 2 profile whose condition
-estimate exceeds CONDITION_WARN falls back to the 50-digit solve, and the
-d = 3 joint raises ExtractionRankError. Object arrays of mp samples keep the
-50-digit solves, which work in fixed point: the columns and the right-hand
-side become Python integers scaled by 2^(mp.prec + GUARD_BITS), and one
-least-squares kernel (_mp_qr_solve) serves the lstsq and taylor unmixing.
-They take their precision from mpmath's global context: parallelize across
-processes, not threads.
+profile solves and the d = 3 joint solve, and it raises ExtractionRankError,
+with the condition estimate and the weak pairs, when that estimate exceeds
+CONDITION_WARN. Object arrays of mp samples, and the "lstsq" and "taylor"
+methods on request, take the 50-digit solves, which work in fixed point: the
+columns and the right-hand side become Python integers scaled by
+2^(mp.prec + GUARD_BITS), and one least-squares kernel (_mp_qr_solve) serves
+both. They take their precision from mpmath's global context: parallelize
+across processes, not threads.
 
 estimate_max_degree reads only residuals, so it unmixes with the "float64"
-method whatever the samples' precision; for d = 2 it raises
+method whatever the samples' precision; in both dimensions it raises
 DegreeUnresolvableError when angular content lies above twice its estimate.
 """
 
@@ -44,6 +44,8 @@ CONDITION_WARN = 1e10
 # angular components beyond 2M above this multiple of the sample scale are
 # content of a higher degree: 64 eps, the rounding level of the double DFT
 TRUNCATION_FLOOR = 64 * np.finfo(float).eps
+# highest degree estimate_max_degree tries
+DEGREE_CAP = 16
 
 
 class ExtractionRankError(RuntimeError):
@@ -326,18 +328,27 @@ def _lstsq_unmix(profile, pairs, d):
     return UnmixReport(profile.frequency, gamma, math.hypot(res_r, res_i), cond, "lstsq")
 
 
-def _f64_lstsq(A, B):
+def _f64_columns(pairs, radii, d):
+    """Column functions 2 pi r^{-(d-2)} J_{nu(m)} J_{nu(n)} at the radii, from the
+    double Bessel values, as a (radius, pair) array."""
+    jrow = {m: bessel_j(nu_order(m, d), radii) for m in sorted({m for p in pairs for m in p})}
+    pref = 2 * np.pi / radii ** (d - 2)
+    return np.column_stack([pref * jrow[m] * jrow[n] for m, n in pairs])
+
+
+def _f64_lstsq(A, B, labels):
     """Least squares A Y ~= B in double precision, one column of Y per column of B.
 
     The columns of A are scaled to unit norm and factorized by numpy QR; the
     condition estimate is max|R_jj| / min|R_jj| (inf for a vanishing column or
     a singular R; a system with fewer rows than columns is padded with zero
     rows, so its R diagonal shows the rank it lacks). Above CONDITION_WARN the
-    system is not solved. Otherwise one refinement step takes the residual
-    B - A Y with np.longdouble accumulation and adds R^-1 Q^T of it to Y.
+    system is not solved: ExtractionRankError names the labels of the columns
+    whose |R_jj| falls below max|R_jj| / CONDITION_WARN. Otherwise one
+    refinement step takes the residual B - A Y with np.longdouble accumulation
+    and adds R^-1 Q^T of it to Y.
 
-    Returns (Y or None, residual norms per column of B or None, condition
-    estimate, |R_jj| of the unit-norm columns).
+    Returns (Y, residual norms per column of B, condition estimate).
     """
     rows, ncols = A.shape
     norms = np.linalg.norm(A, axis=0)
@@ -346,26 +357,21 @@ def _f64_lstsq(A, B):
     diag = np.abs(np.diag(R))
     cond = float(diag.max() / diag.min()) if diag.min() > 0 else math.inf
     if not cond <= CONDITION_WARN:
-        return None, None, cond, diag
+        weak = np.flatnonzero(diag < diag.max() / CONDITION_WARN)
+        raise ExtractionRankError([labels[j] for j in weak], cond)
     Y = np.linalg.solve(R, Q.T @ B)
     Ul = U.astype(np.longdouble)
     resid = B - Ul @ Y
     Y = Y + np.linalg.solve(R, Q.T @ resid.astype(float))
     resid = np.sqrt(np.sum((B - Ul @ Y) ** 2, axis=0))
-    return Y / norms[:, None], resid.astype(float), cond, diag
+    return Y / norms[:, None], resid.astype(float), cond
 
 
 def _float64_unmix(profile, pairs, d):
-    """The "float64" report for one profile, from the double Bessel values, or
-    None when _f64_lstsq does not trust the system."""
-    radii = profile.radii
-    jrow = {m: bessel_j(nu_order(m, d), radii) for m in sorted({m for p in pairs for m in p})}
-    pref = 2 * np.pi / radii ** (d - 2)
-    A = np.column_stack([pref * jrow[m] * jrow[n] for m, n in pairs])
+    """The "float64" report for one profile, from the double Bessel values."""
     values = np.asarray(profile.values, dtype=complex)
-    x, resid, cond, _ = _f64_lstsq(A, np.column_stack([values.real, values.imag]))
-    if x is None:
-        return None
+    x, resid, cond = _f64_lstsq(_f64_columns(pairs, profile.radii, d),
+                                np.column_stack([values.real, values.imag]), pairs)
     gamma = {p: complex(x[j, 0], x[j, 1]) for j, p in enumerate(pairs)}
     return UnmixReport(profile.frequency, gamma, math.hypot(*resid), cond, "float64")
 
@@ -380,8 +386,8 @@ def radial_unmix(profile: RadialProfile, M: int, d: int, method: str = "lstsq") 
     with one refinement step whose residual is accumulated in np.longdouble
     (the default of extract_magnitude_data for double samples). A "float64"
     solve whose design has a vanishing column, a singular R or a condition
-    estimate above CONDITION_WARN is not trusted: the profile gets the "lstsq"
-    report instead, and the report's method says so.
+    estimate above CONDITION_WARN raises ExtractionRankError with that
+    estimate, as the 50-digit methods do for the columns they lose.
     """
     q = profile.frequency
     pairs = compatible_pairs(q, M, d)
@@ -400,7 +406,7 @@ def radial_unmix(profile: RadialProfile, M: int, d: int, method: str = "lstsq") 
             raise ExtractionRankError([pairs[j] for j in defic])
         report = UnmixReport(q, gamma, 0.0, cond, method)
     elif method == "float64":
-        report = _float64_unmix(profile, pairs, d) or _lstsq_unmix(profile, pairs, d)
+        report = _float64_unmix(profile, pairs, d)
     elif method == "lstsq":
         report = _lstsq_unmix(profile, pairs, d)
     else:
@@ -443,9 +449,8 @@ def _extract_3d_joint(profiles, M, grid):
 
     The per-component radial families contain exactly dependent Bessel-product
     quadruples (see radial_unmix), so single components cannot be unmixed in
-    isolation; the coupled system across components is well conditioned. A
-    condition estimate above CONDITION_WARN raises ExtractionRankError naming
-    the pairs whose R diagonal falls below max|R_jj| / CONDITION_WARN.
+    isolation; the coupled system across components is well conditioned.
+    _f64_lstsq raises ExtractionRankError when it is not.
     """
     pairs = [(m, n) for m in range(M + 1) for n in range(m, M + 1)]
     iu = np.triu_indices(M + 1)  # the pairs, in the same order
@@ -454,16 +459,10 @@ def _extract_3d_joint(profiles, M, grid):
     rest = [p for p in profiles if p.frequency > 2 * M]
     mult = _legendre_triples(M)[iu] * np.where(iu[0] == iu[1], 1.0, 2.0)[:, None]
     mult[np.abs(mult) < 1e-13] = 0.0
-    jrow = np.array([bessel_j(nu_order(m, 3), radii) for m in range(M + 1)])
-    prod = 2 * np.pi / radii * jrow[iu[0]] * jrow[iu[1]]  # (pair, radius)
     # rows: radii within each used component; columns: pairs
-    cols = mult[:, [p.frequency for p in used]].T[:, None, :] * prod.T[None, :, :]
+    cols = mult[:, [p.frequency for p in used]].T[:, None, :] * _f64_columns(pairs, radii, 3)
     rhs = np.concatenate([np.asarray(p.values, dtype=float) for p in used])
-    x, resid, cond, diag = _f64_lstsq(cols.reshape(len(rhs), len(pairs)), rhs[:, None])
-    if x is None:
-        raise ExtractionRankError(
-            [pairs[j] for j in np.flatnonzero(diag < diag.max() / CONDITION_WARN)], cond
-        )
+    x, resid, cond = _f64_lstsq(cols.reshape(len(rhs), len(pairs)), rhs[:, None], pairs)
     reports = [UnmixReport(-1, dict(zip(pairs, x[:, 0].tolist())), float(resid[0]), cond,
                            "joint-float64")]
     for prof in rest:
@@ -478,15 +477,17 @@ def _extract_3d_joint(profiles, M, grid):
     return MagnitudeData(3, grid, np.repeat(profile, grid.azimuth_count, axis=2)), reports
 
 
-def estimate_max_degree(samples: MagnitudeGrid, d: int, cap: int = 16) -> int:
-    """Estimate the truncation degree from the active angular bandwidth,
-    refining upward while the unmixing residual keeps improving. Only the
-    residuals are read, so the candidate unmixings use the "float64" method.
+def estimate_max_degree(samples: MagnitudeGrid, d: int) -> int:
+    """Estimate the truncation degree from the active angular bandwidth.
 
-    For d = 2, an angular profile above frequency 2M that exceeds
-    TRUNCATION_FLOOR * scale after the estimate M is content a degree-M field
-    cannot hold: DegreeUnresolvableError, rather than a silently truncated
-    degree.
+    For d = 2 the estimate is refined upward, up to DEGREE_CAP, while the
+    unmixing residual keeps improving; only the residuals are read, so the
+    candidate unmixings use the "float64" method. For d = 3 zonal data the
+    diagonals always land in the top Gegenbauer component, so the bandwidth
+    estimate is the degree. In both, an angular component above 2M that
+    exceeds TRUNCATION_FLOOR * scale after the estimate M is content a
+    degree-M field cannot hold: DegreeUnresolvableError, rather than a
+    silently truncated degree.
     """
     profiles = angular_decompose(samples, d)
     scale = float(np.max(np.abs(np.asarray(samples.values, dtype=float)))) + 1.0
@@ -494,11 +495,7 @@ def estimate_max_degree(samples: MagnitudeGrid, d: int, cap: int = 16) -> int:
              for p in profiles}
     act = [q for q, peak in peaks.items() if peak > 1e-10 * scale]
     guess = max((q + 1) // 2 for q in act) if act else 0
-    if d == 3:
-        # zonal diagonals always land in the top Gegenbauer component, so the
-        # bandwidth estimate is already the truncation degree
-        return guess
-    M = _residual_degree(profiles, guess, cap, scale)
+    M = guess if d == 3 else _residual_degree(profiles, guess, scale)
     floor = TRUNCATION_FLOOR * scale
     above = {q: peak for q, peak in peaks.items() if q > 2 * M and peak > floor}
     if above:
@@ -511,14 +508,14 @@ def estimate_max_degree(samples: MagnitudeGrid, d: int, cap: int = 16) -> int:
     return M
 
 
-def _residual_degree(profiles, guess, cap, scale):
+def _residual_degree(profiles, guess, scale):
     """The d = 2 degree, from guess upward, whose float64 unmixing residual is
     below 1e-8 * scale or stops improving tenfold."""
     prev = None
-    for M in range(guess, cap + 1):
+    for M in range(guess, DEGREE_CAP + 1):
         try:
             _, total = _extract_with_residual(profiles, 2, M, "float64")
-        except ValueError:
+        except (ValueError, ExtractionRankError):
             break
         if total <= 1e-8 * scale:
             return M

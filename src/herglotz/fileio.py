@@ -172,7 +172,7 @@ def parse_field(text: str) -> HerglotzField:
         if (m, j) in seen:
             raise FileFormatError(f"repeated coeff {m} {j}", i)
         seen.add((m, j))
-        coeffs[m][j - 1] = re + 1j * im
+        coeffs[m][j - 1] = complex(re, im)
     return HerglotzField(dim, max_degree, basis, coeffs)
 
 

@@ -5,6 +5,7 @@ from herglotz import fileio, specfun
 from herglotz.cli import main
 from herglotz.extract import extract_magnitude_data, radial_grid
 from herglotz.field import (
+    HerglotzField,
     MagnitudeData,
     magnitude_coeffs,
     random_field,
@@ -101,6 +102,14 @@ def test_field_file_roundtrip_and_errors(tmp_path):
     with pytest.raises(FileFormatError) as exc:
         fileio.read_field(str(bad))
     assert f"line {target + 1}" in str(exc.value)
+
+
+def test_field_file_keeps_a_negative_zero_imaginary_part(tmp_path):
+    u = HerglotzField.zero(2, 1, fourier2d_basis())
+    u.coeffs[0][0] = complex(1.0, -0.0)
+    text = fileio.field_to_text(u)
+    assert "coeff 0 1 1 -0\n" in text
+    assert fileio.field_to_text(fileio.parse_field(text)) == text
 
 
 def test_data_file_roundtrip(tmp_path):
@@ -536,16 +545,52 @@ def test_extract_truncated_degree_exits_2(tmp_path, capsys):
     assert not d.exists()
 
 
-def test_d3_rank_loss_exits_3(tmp_path, capsys):
-    # 2 radii cannot determine the 28 pairs of a zonal M = 6 field
-    f, g, d, v = (tmp_path / n for n in ("u.field", "u.grid", "u.data", "v.field"))
+def test_extract_ill_conditioned_profile_exits_3(tmp_path, capsys):
+    # 48 radii condition the degree-7 profile 6 at 1.4e12: the double solve is
+    # not trusted, and no data is written
+    f, g, d = (tmp_path / n for n in ("u.field", "u.grid", "u.data"))
+    assert run(["gen", "--dim", "2", "--max-degree", "7", "--seed", "3", "--out", str(f)]) == 0
+    assert run(["sample", str(f), "--out", str(g)]) == 0
+    capsys.readouterr()
+    assert run(["extract", str(g), "--max-degree", "7", "--out", str(d)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("error: rank-deficient unmixing system (condition estimate 1.38e+12); "
+                   "colliding pairs: [(3, 3)]\n")
+    assert not d.exists()
+
+
+def _d3_two_radius_grid(tmp_path):
+    f, g = tmp_path / "u.field", tmp_path / "u.grid"
     assert run(["gen", "--dim", "3", "--zonal", "--max-degree", "6", "--seed", "1",
                 "--out", str(f)]) == 0
     assert run(["sample", str(f), "--radial-nodes", "2", "--out", str(g)]) == 0
+    return g
+
+
+def test_d3_rank_loss_exits_3(tmp_path, capsys):
+    # 2 radii cannot determine the 28 pairs of a zonal M = 6 field
+    g = _d3_two_radius_grid(tmp_path)
+    d, v = tmp_path / "u.data", tmp_path / "v.field"
     for cmd in (["extract", str(g), "--out", str(d)], ["retrieve", str(g), "--out", str(v)]):
         capsys.readouterr()
-        assert run(cmd) == 3
+        assert run([*cmd, "--max-degree", "6"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: rank-deficient unmixing system")
         assert "colliding pairs: [(" in err
+    assert not d.exists() and not v.exists()
+
+
+def test_d3_truncated_estimate_exits_2(tmp_path, capsys):
+    # on the same 2 radii the degree-6 components 11 and 12 fall below the
+    # activity threshold, so the bandwidth estimate is 5; component 11 still
+    # holds content far above rounding
+    g = _d3_two_radius_grid(tmp_path)
+    d, v = tmp_path / "u.data", tmp_path / "v.field"
+    for cmd in (["extract", str(g), "--out", str(d)], ["retrieve", str(g), "--out", str(v)]):
+        capsys.readouterr()
+        assert run(cmd) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: degree 6 unresolvable: the estimate is 5, but angular "
+                              "component 11 holds ")
+        assert "above the rounding floor" in err
     assert not d.exists() and not v.exists()

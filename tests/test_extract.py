@@ -317,23 +317,27 @@ def test_float64_unmix_agrees_with_lstsq(M, family):
         assert b.residual / 4 < a.residual < 4 * b.residual
 
 
-def test_float64_unmix_hands_ill_conditioned_profiles_to_lstsq():
-    # 16 radii cannot condition M = 8: the float64 solve is not trusted, and
-    # the profile gets the 50-digit report, bit for bit
+def test_float64_unmix_raises_on_ill_conditioned_profiles(monkeypatch):
+    # 16 radii cannot condition M = 8: a profile whose condition exceeds
+    # CONDITION_WARN raises from the double solve, naming its weak pairs,
+    # and no arbitrary-precision Bessel value is computed for it
     u = random_field(2, 8, F2, seed=21)
     g = sample_magnitude(u, radial_grid(16), 37)
-    escalated = 0
-    for prof in angular_decompose(g, 2)[:9]:
-        a = radial_unmix(prof, 8, 2, method="float64")
-        b = radial_unmix(prof, 8, 2, method="lstsq")
-        if b.condition > CONDITION_WARN:
-            escalated += 1
-            assert a.method == "lstsq"
-            assert a.gamma == b.gamma
-            assert (a.residual, a.condition, a.warnings) == (b.residual, b.condition, b.warnings)
+    profiles = angular_decompose(g, 2)[:9]
+    conditions = [radial_unmix(prof, 8, 2, method="lstsq").condition for prof in profiles]
+    calls = []
+    original = extract.bessel_j_mp
+    monkeypatch.setattr(extract, "bessel_j_mp", lambda *a: calls.append(a) or original(*a))
+    for prof, cond in zip(profiles, conditions):
+        if cond > CONDITION_WARN:
+            with pytest.raises(ExtractionRankError) as exc:
+                radial_unmix(prof, 8, 2, method="float64")
+            assert exc.value.condition > CONDITION_WARN
+            assert exc.value.pairs
         else:
-            assert a.method == "float64"
-    assert escalated > 0
+            assert radial_unmix(prof, 8, 2, method="float64").method == "float64"
+    assert calls == []
+    assert any(cond > CONDITION_WARN for cond in conditions)
 
 
 @pytest.mark.parametrize("family", ["generic", "real", "sparse", "zero_mean", "all_r"])
@@ -453,3 +457,22 @@ def test_truncated_degree_estimate_raises():
     g = sample_magnitude(u, radial_grid(48), 33)
     with pytest.raises(DegreeUnresolvableError, match="degree 7 unresolvable"):
         estimate_max_degree(g, 2)
+
+
+@pytest.mark.parametrize("family", [{}, {"zero_mean": True}, {"real": True}])
+def test_estimate_max_degree_d3_zonal(family):
+    # on the sample command's default grid (48 radii, 2M + 4 polar nodes) the
+    # components above 2M of a correct estimate stay below TRUNCATION_FLOOR
+    for M in range(1, 6):
+        u = random_field(3, M, Z3, seed=70 + M, zonal=True, **family)
+        g = sample_magnitude(u, radial_grid(48), 2 * M + 4)
+        assert estimate_max_degree(g, 3) == M
+
+
+def test_truncated_degree_estimate_raises_d3():
+    # a zonal degree-7 field on 48 radii: its top components fall below the
+    # activity threshold, but not below the rounding floor
+    u = random_field(3, 7, Z3, seed=70, zonal=True)
+    g = sample_magnitude(u, radial_grid(48), 18)
+    with pytest.raises(DegreeUnresolvableError, match="degree 6 unresolvable: the estimate is 5"):
+        estimate_max_degree(g, 3)
