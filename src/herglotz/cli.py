@@ -30,6 +30,7 @@ from .field import (
 from .fileio import _fmt
 from .harmonics import BasisSpec
 from .retrieve import (
+    ACCEPT_TOL,
     BranchNotApplicableError,
     InconsistentDataError,
     canonicalize,
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--branch", choices=["auto", "mean", "real", "sparse"], default="auto")
     r.add_argument("--max-degree", type=int)
     r.add_argument("--basis", choices=["zonal", "palpha"])
-    r.add_argument("--tol", type=float, default=1e-6)
+    r.add_argument("--tol", type=float, default=ACCEPT_TOL)
     r.add_argument("--out", required=True)
     r.set_defaults(run=cmd_retrieve)
 

@@ -46,6 +46,8 @@ CONDITION_WARN = 1e10
 TRUNCATION_FLOOR = 64 * np.finfo(float).eps
 # highest degree estimate_max_degree tries
 DEGREE_CAP = 16
+# radial_grid keeps its nodes above this fraction of the ball radius
+INNER_FRAC = 0.05
 
 
 class ExtractionRankError(RuntimeError):
@@ -93,13 +95,13 @@ class UnmixReport:
     warnings: list = dc_field(default_factory=list)
 
 
-def radial_grid(count: int, eta: float = 1.0, inner_frac: float = 0.05) -> np.ndarray:
-    """Chebyshev-spaced radial nodes in (inner_frac * eta, eta]."""
+def radial_grid(count: int, eta: float = 1.0) -> np.ndarray:
+    """Chebyshev-spaced radial nodes in (INNER_FRAC * eta, eta]."""
     if count < 1:
         raise ValueError("need at least one radial node")
     k = np.arange(count)
     x = np.cos((2 * k + 1) * np.pi / (2 * count))
-    lo = inner_frac * eta
+    lo = INNER_FRAC * eta
     return np.sort(lo + (eta - lo) * (x + 1) / 2)
 
 
@@ -546,8 +548,14 @@ def extract_magnitude_data(
 
     d = 2 profiles are unmixed with ``method`` (see radial_unmix); by default,
     "float64" for double samples and "lstsq" for object arrays of mp numbers.
-    d = 3 zonal data take one joint double-precision solve across components.
+    d = 3 zonal data take one joint double-precision solve across components,
+    and a ``method`` given for them raises ValueError.
     """
+    if d == 3 and method is not None:
+        raise ValueError(
+            f"method={method!r} does not apply to d = 3 data: "
+            "d = 3 zonal data take one joint double-precision solve"
+        )
     if M is None:
         M = estimate_max_degree(samples, d)
     profiles = angular_decompose(samples, d)

@@ -5,13 +5,15 @@ Three basis families are supported:
 * ``fourier2d`` (d = 2): degree m spanned by e^{i m t}, e^{-i m t};
 * ``zonal`` (d >= 3): Gegenbauer zonal functions C_m^{d/2-1}(<theta, zeta_m^j>)
   with a deterministic pole table, zeta_m^1 fixed to e_d;
-* ``palpha`` (d >= 3): the harmonic homogeneous polynomials p_alpha obtained by
-  repeated differentiation of |x|^{2-d}, indexed by multi-indices with
-  |alpha| = m and alpha_d in {0, 1}.
+* ``palpha`` (d >= 3): the harmonic homogeneous polynomials p_alpha, the
+  harmonic parts of the monomials x^alpha (a finite Laplacian series in exact
+  rationals, equal to the paper's normalized derivatives of |x|^{2-d}),
+  indexed by multi-indices with |alpha| = m and alpha_d in {0, 1}.
 
 Plus quadrature grids on the sphere and numerical Gram-rank tests.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,9 +21,12 @@ from fractions import Fraction
 import numpy as np
 
 from .poly import Polynomial
-from .specfun import _pochhammer_fraction, gegenbauer
+from .specfun import gegenbauer
 
 SURFACE_TOL = 1e-12
+POLE_MIN_SV = 1e-3  # see default_poles
+POLE_MAX_ATTEMPTS = 60
+RANK_TOL = 1e-10  # see gram_rank
 
 
 def surface_measure(d: int) -> float:
@@ -48,30 +53,30 @@ def degree_multi_indices(d: int, m: int):
     by descending lexicographic order of the first d-1 entries. The count
     equals harmonic_dim(d, m).
     """
-    out = []
-    for last in (0, 1):
-        rem = m - last
-        if rem < 0:
-            continue
-
-        def rec(prefix, left, slots):
-            if slots == 1:
-                out.append(tuple(prefix + [left, last]))
-                return
-            for v in range(left, -1, -1):
-                rec(prefix + [v], left - v, slots - 1)
-
-        rec([], rem, d - 1)
-    return out
+    # product over descending ranges runs in descending lexicographic order
+    return [
+        head + (last,)
+        for last in (0, 1)
+        for head in itertools.product(range(m - last, -1, -1), repeat=d - 1)
+        if sum(head) == m - last
+    ]
 
 
 def p_alpha(alpha, d: int) -> Polynomial:
-    """Harmonic homogeneous polynomial p_alpha of degree |alpha| in R^d (d >= 3),
-    built by exact symbolic differentiation of |x|^{2-d}:
+    """Harmonic homogeneous polynomial p_alpha of degree m = |alpha| in R^d (d >= 3).
 
-        p_alpha = (-1)^m / (2^m ((d-2)/2)_m) |x|^{d-2+2m} d^alpha |x|^{2-d}
+    The paper defines
 
-    The result has the structure x^alpha + |x|^2 q_alpha(x).
+        p_alpha = (-1)^m / (2^m ((d-2)/2)_m) |x|^{d-2+2m} d^alpha |x|^{2-d},
+
+    which is the harmonic part of x^alpha in the Fischer decomposition
+    x^alpha = p_alpha + |x|^2 q_alpha. That part is the finite Laplacian series
+
+        p_alpha = sum_{j <= m/2} c_j |x|^{2j} Laplacian^j x^alpha,
+        c_j = (-1)^j / (2^j j! prod_{i=1}^{j} (d + 2m - 2 - 2i)),
+
+    evaluated here in exact rationals (every factor d + 2m - 2 - 2i is at
+    least d + m - 2 > 0).
     """
     if d < 3:
         raise ValueError("p_alpha basis requires dimension d >= 3")
@@ -79,32 +84,15 @@ def p_alpha(alpha, d: int) -> Polynomial:
     if len(alpha) != d or any(a < 0 for a in alpha):
         raise ValueError("alpha must be a nonnegative multi-index of length d")
     m = sum(alpha)
-    # Intermediate terms are c * x^beta * rho^(e2/2) with rho = |x|^2 and e2 an
-    # integer of the same parity as 2-d; start from |x|^{2-d}.
-    zero = tuple(0 for _ in range(d))
-    terms = {(zero, 2 - d): Fraction(1)}
-    for i in range(d):
-        for _ in range(alpha[i]):
-            new = {}
-            for (beta, e2), c in terms.items():
-                if beta[i] > 0:
-                    b = list(beta)
-                    b[i] -= 1
-                    key = (tuple(b), e2)
-                    new[key] = new.get(key, Fraction(0)) + c * beta[i]
-                b = list(beta)
-                b[i] += 1
-                key = (tuple(b), e2 - 2)
-                new[key] = new.get(key, Fraction(0)) + c * Fraction(e2, 2) * 2
-            terms = {k: v for k, v in new.items() if v != 0}
-    norm = Fraction((-1) ** m, 1) / (2**m * _pochhammer_fraction(Fraction(d - 2, 2), m))
+    terms = [Polynomial.monomial(alpha)]  # c_j Laplacian^j x^alpha
+    for j in range(1, m // 2 + 1):
+        terms.append(terms[-1].laplacian() * Fraction(-1, 2 * j * (d + 2 * m - 2 - 2 * j)))
+    # Horner in |x|^2, t_0 + |x|^2 (t_1 + |x|^2 (t_2 + ...)): each step
+    # multiplies by the d terms of |x|^2 instead of by a power of it
     rho = Polynomial.radius_sq(d)
-    out = Polynomial(d, {})
-    for (beta, e2), c in terms.items():
-        e2n = e2 + d - 2 + 2 * m
-        if e2n < 0 or e2n % 2:
-            raise AssertionError("rho exponent did not close to a nonneg integer")
-        out = out + Polynomial.monomial(beta, c * norm) * rho ** (e2n // 2)
+    out = terms.pop()
+    while terms:
+        out = terms.pop() + rho * out
     return out
 
 
@@ -211,13 +199,13 @@ def _candidate_poles(d: int, m: int, attempt: int) -> np.ndarray:
     return pts
 
 
-def default_poles(d: int, m: int, min_sv: float = 1e-3, max_attempts: int = 60) -> np.ndarray:
+def default_poles(d: int, m: int) -> np.ndarray:
     """Deterministic pole table zeta_m^j for the degree-m zonal basis.
 
-    Seeded unit vectors with zeta_m^1 = e_d; candidates are regenerated until
-    both the basis functions and their squares pass a Gram-rank test with
-    normalized minimum singular value above ``min_sv`` (keeping the best
-    candidate as fallback).
+    Seeded unit vectors with zeta_m^1 = e_d; up to POLE_MAX_ATTEMPTS candidates
+    are generated until both the basis functions and their squares pass a
+    Gram-rank test with normalized minimum singular value above POLE_MIN_SV
+    (keeping the best candidate as fallback).
     """
     n = harmonic_dim(d, m)
     if m == 0 or n == 1:
@@ -227,7 +215,7 @@ def default_poles(d: int, m: int, min_sv: float = 1e-3, max_attempts: int = 60) 
     # 2n - 1 (for d = 4 the first coordinate uses Chebyshev-U nodes).
     grid = sphere_grid(d, 2 * m + 1)
     best = None
-    for attempt in range(max_attempts):
+    for attempt in range(POLE_MAX_ATTEMPTS):
         pts = _candidate_poles(d, m, attempt)
         vals = np.stack(
             [gegenbauer(m, d / 2 - 1, grid.nodes @ z) for z in pts], axis=1
@@ -235,7 +223,7 @@ def default_poles(d: int, m: int, min_sv: float = 1e-3, max_attempts: int = 60) 
         r1, s1 = gram_rank([vals[:, j] for j in range(n)], grid)
         r2, s2 = gram_rank([vals[:, j] ** 2 for j in range(n)], grid)
         score = min(s1, s2)
-        if r1 == n and r2 == n and score > min_sv:
+        if r1 == n and r2 == n and score > POLE_MIN_SV:
             return pts
         if best is None or score > best[0]:
             best = (score, pts, r1, r2)
@@ -374,11 +362,12 @@ def basis_eval(spec: BasisSpec, m: int, j: int, theta):
     return vals
 
 
-def gram_rank(functions, grid: SphereGrid, rank_tol: float = 1e-10):
+def gram_rank(functions, grid: SphereGrid):
     """Numerical rank of the Gram matrix of the given sphere functions.
 
     ``functions`` may be callables on points or arrays of node values. Returns
-    (rank, smallest singular value of the diagonally normalized Gram).
+    (rank, smallest singular value of the diagonally normalized Gram); the
+    rank counts the singular values above RANK_TOL times the largest.
     """
     cols = []
     for f in functions:
@@ -396,4 +385,4 @@ def gram_rank(functions, grid: SphereGrid, rank_tol: float = 1e-10):
     dn = 1 / diag[nz]
     Gn = G[np.ix_(nz, nz)] * dn[:, None] * dn[None, :]
     sv = np.linalg.svd(Gn, compute_uv=False)
-    return int((sv > rank_tol * sv[0]).sum()), float(sv[-1])
+    return int((sv > RANK_TOL * sv[0]).sum()), float(sv[-1])

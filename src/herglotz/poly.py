@@ -105,15 +105,6 @@ class Polynomial:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def partial(self, i):
-        out = {}
-        for a, c in self.terms.items():
-            if a[i] > 0:
-                b = list(a)
-                b[i] -= 1
-                out[tuple(b)] = out.get(tuple(b), Fraction(0)) + c * a[i]
-        return Polynomial(self.nvars, out)
-
     def laplacian(self):
         out = {}
         for a, c in self.terms.items():

@@ -160,13 +160,6 @@ def bessel_bound(nu, r) -> float:
     return 2.0 / (math.sqrt(math.pi) * math.gamma(nu + 0.5)) * (r / 2.0) ** nu
 
 
-def _pochhammer_fraction(lam: Fraction, n: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(n):
-        out *= lam + i
-    return out
-
-
 def gegenbauer(m: int, lam, z, exact: bool = False):
     """Gegenbauer polynomial C_m^lam(z) by the three-term recurrence (DLMF 18.9.1)
 

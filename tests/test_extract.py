@@ -268,6 +268,15 @@ def test_extract_d3_zonal_roundtrip():
     assert truth.deviation(data) < 1e-6 * (1 + truth.max_abs())
 
 
+@pytest.mark.parametrize("method", ["taylor", "bogus"])
+def test_extract_d3_rejects_a_method(method):
+    # d = 3 data take the joint solve; a method for d = 2 profiles is refused
+    u = random_field(3, 3, Z3, seed=13, zonal=True)
+    g = sample_magnitude(u, radial_grid(40), 10)
+    with pytest.raises(ValueError, match="joint"):
+        extract_magnitude_data(g, 3, 3, method=method)
+
+
 def test_extract_d3_rejects_nonzonal():
     u = random_field(3, 3, Z3, seed=14, sparse=True)  # sparse but not zonal
     g = sample_magnitude(u, radial_grid(24), 10)

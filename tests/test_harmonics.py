@@ -105,14 +105,14 @@ def test_p_alpha_low_degrees():
 
 
 def test_p_alpha_m1_reproduces_monomial_exactly():
-    # the Pochhammer normalization must make p_{e_i} = x_i on the nose
+    # the harmonic part of a degree-1 monomial is the monomial itself
     for d in (3, 4, 5):
         for i in range(d):
             e = tuple(1 if j == i else 0 for j in range(d))
             assert p_alpha(e, d) == Polynomial.variable(d, i)
 
 
-@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("d", [3, 4, 5])
 def test_p_alpha_harmonic_and_structured(d):
     rho = Polynomial.radius_sq(d)
     for m in range(0, 5):
