@@ -105,8 +105,9 @@ def cmd_extract(args) -> int:
     scale = 1.0 + float(np.max(np.abs(np.asarray(grid.values, dtype=float))))
     for rep in reports:
         if rep.residual > 1e-9 * scale:
+            where = "joint solve" if rep.frequency == -1 else f"component {rep.frequency}"
             for w in rep.warnings or [f"residual {rep.residual:.3e}"]:
-                print(f"warning: component {rep.frequency}: {w}", file=sys.stderr)
+                print(f"warning: {where}: {w}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -1,8 +1,8 @@
 """Recovery of the magnitude data Re c_{m,n} from gridded samples of |u|^2.
 
 The pipeline is: angular decomposition of the samples into per-frequency
-(d = 2) or per-Gegenbauer-degree (d = 3, zonal) radial profiles, followed by a
-radial unmixing of each profile over the Bessel-product dictionary
+(d = 2) or per-Gegenbauer-degree (d >= 3, zonal, in x_d) radial profiles,
+followed by a radial unmixing of each profile over the Bessel-product dictionary
 
     g_q(r) ~= sum_{(m,n) compatible with q} gamma_{m,n} 2 pi r^{-(d-2)}
               J_{nu(m)}(r) J_{nu(n)}(r).
@@ -12,7 +12,7 @@ grows steeply with the truncation degree. Double-precision samples are
 unmixed in double precision: one kernel (_f64_lstsq) scales the columns to
 unit norm, factorizes them with numpy QR and takes one refinement step whose
 residual is accumulated in np.longdouble. It serves the d = 2 "float64"
-profile solves and the d = 3 joint solve, and it raises ExtractionRankError,
+profile solves and the d >= 3 zonal joint solve, and it raises ExtractionRankError,
 with the condition estimate and the weak pairs, when that estimate exceeds
 CONDITION_WARN. Object arrays of mp samples, and the "lstsq" and "taylor"
 methods on request, take the 50-digit solves, which work in fixed point: the
@@ -34,7 +34,8 @@ import numpy as np
 from mpmath import mp, mpf
 from mpmath.libmp import from_int, mpf_div, mpf_shift, round_nearest, to_fixed
 
-from .field import MagnitudeData, MagnitudeGrid, nu_order
+from .field import MagnitudeData, MagnitudeGrid, check_degree, nu_order
+from .harmonics import _polar_rule
 from .specfun import bessel_j, bessel_j_mp, gegenbauer
 
 WORK_DPS = 50
@@ -65,7 +66,7 @@ class DegreeUnresolvableError(RuntimeError):
 
 
 class NonZonalDataError(ValueError):
-    """d = 3 samples depend on the azimuth, so no sampled extraction applies."""
+    """d >= 3 samples vary over the S^{d-2} nodes of a polar node: not zonal."""
 
 
 @dataclass
@@ -73,9 +74,9 @@ class RadialProfile:
     """One angular component of the magnitude samples as a function of radius."""
 
     dim: int
-    frequency: int  # angular frequency (d=2) or Gegenbauer degree (d=3)
+    frequency: int  # angular frequency (d=2) or Gegenbauer degree (d>=3)
     radii: np.ndarray
-    values: np.ndarray  # complex (d=2) or real (d=3); may be an mpf object array
+    values: np.ndarray  # complex (d=2) or real (d>=3); may be an mpf object array
 
     def __post_init__(self):
         self.radii = np.asarray(self.radii, dtype=float)
@@ -87,8 +88,8 @@ class RadialProfile:
 class UnmixReport:
     """Result of unmixing one radial profile."""
 
-    frequency: int
-    gamma: dict  # (m, n) -> complex (d=2) or float (d=3)
+    frequency: int  # -1 for the d >= 3 joint solve across components
+    gamma: dict  # (m, n) -> complex (d=2) or float (d>=3)
     residual: float
     condition: float
     method: str
@@ -118,13 +119,15 @@ def angular_decompose(samples: MagnitudeGrid, d: int) -> list:
     """Split magnitude samples into per-frequency radial profiles.
 
     d=2 requires a uniform angular grid (the transform is an exact DFT for
-    band-limited data); d=3 requires zonal data on a Gauss grid, decomposed in
-    Legendre components of t = cos(polar angle).
+    band-limited data). d>=3 requires zonal data on the product grid of
+    sphere_grid: the samples of each polar node are averaged over its S^{d-2}
+    nodes and projected, with the polar rule's weights, onto the Gegenbauer
+    polynomials C^lam_q(x_d), lam = d/2 - 1, of the last coordinate.
     """
     if d != samples.dim:
         raise ValueError("dimension mismatch with the sample grid")
+    grid = samples.grid
     if d == 2:
-        grid = samples.grid
         if grid.angles is None or not _is_uniform_angles(grid.angles, len(grid)):
             raise ValueError("d=2 extraction requires a uniform angular grid")
         Q = len(grid)
@@ -144,33 +147,25 @@ def angular_decompose(samples: MagnitudeGrid, d: int) -> list:
                 for q in range(qmax + 1):
                     profiles.append(RadialProfile(2, q, samples.radii, coef[:, q]))
         return profiles
-    if d == 3:
-        grid = samples.grid
-        if grid.polar_t is None or grid.azimuth_count == 0:
-            raise ValueError("d=3 extraction requires the Gauss product grid")
-        vals = np.asarray(samples.values, dtype=float)
-        naz = grid.azimuth_count
-        npol = len(grid.polar_t)
-        cube = vals.reshape(len(samples.radii), npol, naz)
-        spread = np.abs(cube - cube.mean(axis=2, keepdims=True)).max()
-        threshold = 1e-8 * (1 + np.abs(vals).max())
-        if spread > threshold:
-            raise NonZonalDataError(
-                f"d=3 samples are not zonal: azimuthal spread {spread:.3e} exceeds "
-                f"1e-8 * (1 + max|values|) = {threshold:.3e}; per-component Bessel-product "
-                "dictionaries are rank-deficient for q >= 2, so only zonal d = 3 data "
-                "can be extracted from samples"
-            )
-        zone = cube.mean(axis=2)  # (nr, npol)
-        t, w = np.polynomial.legendre.leggauss(npol)
-        qmax = npol - 1
-        profiles = []
-        for q in range(qmax + 1):
-            Pq = gegenbauer(q, 0.5, t)
-            proj = (zone * (Pq * w)[None, :]).sum(axis=1) * (2 * q + 1) / 2.0
-            profiles.append(RadialProfile(3, q, samples.radii, proj))
-        return profiles
-    raise ValueError(f"extraction is implemented for d in {{2, 3}}, got {d}")
+    if grid.polar_t is None or grid.azimuth_count == 0:
+        raise ValueError(f"d={d} extraction requires the polar product grid of sphere_grid")
+    vals = np.asarray(samples.values, dtype=float)
+    npol = len(grid.polar_t)
+    cube = vals.reshape(len(samples.radii), npol, grid.azimuth_count)
+    spread = np.abs(cube - cube.mean(axis=2, keepdims=True)).max()
+    threshold = 1e-8 * (1 + np.abs(vals).max())
+    if spread > threshold:
+        raise NonZonalDataError(
+            f"d={d} samples are not zonal: azimuthal spread {spread:.3e} exceeds "
+            f"1e-8 * (1 + max|values|) = {threshold:.3e}; per-component Bessel-product "
+            f"dictionaries are rank-deficient for q >= 2, so only zonal d = {d} data "
+            "can be extracted from samples"
+        )
+    zone = cube.mean(axis=2)  # (nr, npol)
+    _, w, inv_norm = _polar_rule(d, npol)
+    Cw = np.array([gegenbauer(q, d / 2 - 1, grid.polar_t) for q in range(npol)]) * w
+    return [RadialProfile(d, q, samples.radii, (zone * Cw[q]).sum(axis=1) * inv_norm[q])
+            for q in range(npol)]
 
 
 def compatible_pairs(q: int, M: int, d: int) -> list:
@@ -434,35 +429,36 @@ def _assemble_2d(reports, M, grid) -> MagnitudeData:
     return MagnitudeData(2, grid, table)
 
 
-def _legendre_triples(M):
-    """beta[m, n, q] = (2q+1)/2 * int_{-1}^{1} P_m P_n P_q dt for m, n <= M and
-    q <= 2M (the linearization coefficients), from one Gauss-Legendre rule
-    exact to degree 4M + 1."""
-    t, w = np.polynomial.legendre.leggauss(2 * M + 1)
-    P = np.array([gegenbauer(q, 0.5, t) for q in range(2 * M + 1)])
-    half = (2 * np.arange(2 * M + 1) + 1) / 2.0
-    return np.einsum("mi,ni,qi->mnq", P[:M + 1], P[:M + 1], P * w) * half
+def _gegenbauer_triples(M, d):
+    """beta[m, n, q], m, n <= M, q <= 2M: the linearization coefficients of the
+    C^lam_m C^lam_n, lam = d/2 - 1, from one polar rule exact to degree 4M + 1."""
+    t, w, inv_norm = _polar_rule(d, 2 * M + 1)
+    C = np.array([gegenbauer(q, d / 2 - 1, t) for q in range(2 * M + 1)])
+    return np.einsum("mi,ni,qi->mnq", C[:M + 1], C[:M + 1], C * w) * inv_norm
 
 
-def _extract_3d_joint(profiles, M, grid):
+def _extract_zonal_joint(profiles, M, grid):
     """Joint least squares over all Gegenbauer components for the products
-    Re(a_m conj(a_n)) of a zonal field, in double precision (angular_decompose
-    rounds d = 3 profiles to float).
+    Re(a_m conj(a_n)) of a zonal d >= 3 field, in double precision
+    (angular_decompose rounds d >= 3 profiles to float).
 
     The per-component radial families contain exactly dependent Bessel-product
     quadruples (see radial_unmix), so single components cannot be unmixed in
     isolation; the coupled system across components is well conditioned.
     _f64_lstsq raises ExtractionRankError when it is not.
     """
+    d = grid.dim
     pairs = [(m, n) for m in range(M + 1) for n in range(m, M + 1)]
     iu = np.triu_indices(M + 1)  # the pairs, in the same order
-    radii = profiles[0].radii
-    used = [p for p in profiles if p.frequency <= 2 * M]
-    rest = [p for p in profiles if p.frequency > 2 * M]
-    mult = _legendre_triples(M)[iu] * np.where(iu[0] == iu[1], 1.0, 2.0)[:, None]
-    mult[np.abs(mult) < 1e-13] = 0.0
+    used, rest = profiles[:2 * M + 1], profiles[2 * M + 1:]  # frequency = index
+    beta = _gegenbauer_triples(M, d)
+    # pair (m, n) feeds component q twice if m != n, and only where compatible_pairs allows
+    mult = np.zeros((len(used), len(pairs)))
+    for q in range(len(used)):
+        for m, n in compatible_pairs(q, M, d):
+            mult[q, pairs.index((m, n))] = (1.0 if m == n else 2.0) * beta[m, n, q]
     # rows: radii within each used component; columns: pairs
-    cols = mult[:, [p.frequency for p in used]].T[:, None, :] * _f64_columns(pairs, radii, 3)
+    cols = mult[:, None, :] * _f64_columns(pairs, used[0].radii, d)
     rhs = np.concatenate([np.asarray(p.values, dtype=float) for p in used])
     x, resid, cond = _f64_lstsq(cols.reshape(len(rhs), len(pairs)), rhs[:, None], pairs)
     reports = [UnmixReport(-1, dict(zip(pairs, x[:, 0].tolist())), float(resid[0]), cond,
@@ -474,9 +470,9 @@ def _extract_3d_joint(profiles, M, grid):
                                    [f"component beyond 2*max_degree has norm {norm:.2e}"]))
     gamma = np.zeros((M + 1, M + 1))
     gamma[iu] = x[:, 0]
-    legendre = np.array([gegenbauer(m, 0.5, grid.polar_t) for m in range(M + 1)])
-    profile = gamma[:, :, None] * legendre[:, None, :] * legendre[None, :, :]
-    return MagnitudeData(3, grid, np.repeat(profile, grid.azimuth_count, axis=2)), reports
+    zonal = np.array([gegenbauer(m, d / 2 - 1, grid.polar_t) for m in range(M + 1)])
+    profile = gamma[:, :, None] * zonal[:, None, :] * zonal[None, :, :]
+    return MagnitudeData(d, grid, np.repeat(profile, grid.azimuth_count, axis=2)), reports
 
 
 def estimate_max_degree(samples: MagnitudeGrid, d: int) -> int:
@@ -484,7 +480,7 @@ def estimate_max_degree(samples: MagnitudeGrid, d: int) -> int:
 
     For d = 2 the estimate is refined upward, up to DEGREE_CAP, while the
     unmixing residual keeps improving; only the residuals are read, so the
-    candidate unmixings use the "float64" method. For d = 3 zonal data the
+    candidate unmixings use the "float64" method. For d >= 3 zonal data the
     diagonals always land in the top Gegenbauer component, so the bandwidth
     estimate is the degree. In both, an angular component above 2M that
     exceeds TRUNCATION_FLOOR * scale after the estimate M is content a
@@ -497,7 +493,7 @@ def estimate_max_degree(samples: MagnitudeGrid, d: int) -> int:
              for p in profiles}
     act = [q for q, peak in peaks.items() if peak > 1e-10 * scale]
     guess = max((q + 1) // 2 for q in act) if act else 0
-    M = guess if d == 3 else _residual_degree(profiles, guess, scale)
+    M = _residual_degree(profiles, guess, scale) if d == 2 else guess
     floor = TRUNCATION_FLOOR * scale
     above = {q: peak for q, peak in peaks.items() if q > 2 * M and peak > floor}
     if above:
@@ -548,21 +544,21 @@ def extract_magnitude_data(
 
     d = 2 profiles are unmixed with ``method`` (see radial_unmix); by default,
     "float64" for double samples and "lstsq" for object arrays of mp numbers.
-    d = 3 zonal data take one joint double-precision solve across components,
-    and a ``method`` given for them raises ValueError.
+    d >= 3 zonal data take one joint double-precision solve across
+    components, and a ``method`` given for them raises ValueError.
     """
-    if d == 3 and method is not None:
+    if d >= 3 and method is not None:
         raise ValueError(
-            f"method={method!r} does not apply to d = 3 data: "
-            "d = 3 zonal data take one joint double-precision solve"
+            f"method={method!r} does not apply to d = {d} data: "
+            f"d = {d} zonal data take one joint double-precision solve"
         )
     if M is None:
         M = estimate_max_degree(samples, d)
+    check_degree(M)
     profiles = angular_decompose(samples, d)
     if d == 2:
         if method is None:
             method = "lstsq" if samples.values.dtype == object else "float64"
         reports, _ = _extract_with_residual(profiles, d, M, method)
-        data = _assemble_2d(reports, M, samples.grid)
-        return data, reports
-    return _extract_3d_joint(profiles, M, samples.grid)
+        return _assemble_2d(reports, M, samples.grid), reports
+    return _extract_zonal_joint(profiles, M, samples.grid)

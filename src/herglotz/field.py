@@ -32,6 +32,11 @@ def nu_order(m: int, d: int) -> float:
     return m + (d - 2) / 2.0
 
 
+def check_degree(max_degree: int):
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+
+
 @dataclass
 class HerglotzField:
     """Truncated coefficient table of a Herglotz field; immutable by convention."""
@@ -44,6 +49,7 @@ class HerglotzField:
     def __post_init__(self):
         if self.basis.dim != self.dim:
             raise ValueError("basis dimension does not match field dimension")
+        check_degree(self.max_degree)
         if len(self.coeffs) != self.max_degree + 1:
             raise ValueError("need one coefficient vector per degree 0..max_degree")
         coeffs = []
@@ -515,6 +521,7 @@ def random_field(
     all_r: bool = False,
 ) -> HerglotzField:
     """Seeded random K-finite field with optional structural constraints."""
+    check_degree(max_degree)
     if all_r and dim != 2:
         raise ValueError("the all-R construction only exists for d = 2")
     if zonal and basis.kind != harmonics.ZONAL:

@@ -277,10 +277,7 @@ def read_grid(path: str) -> MagnitudeGrid:
 
 
 def data_to_text(data: MagnitudeData, basis: BasisSpec | None = None) -> str:
-    if data.dim == 2:
-        res = len(data.grid)
-    else:
-        res = len(data.grid.polar_t)
+    res = len(data.grid) if data.dim == 2 else len(data.grid.polar_t)
     lines = [DATA_MAGIC, f"dim {data.dim}", f"max_degree {data.max_degree}", f"grid {res}"]
     if basis is not None:
         lines += _basis_lines(basis, data.max_degree)

@@ -107,14 +107,15 @@ def laplacian(p: Polynomial) -> Polynomial:
 
 @dataclass
 class SphereGrid:
-    """Quadrature nodes and positive weights on S^{d-1}, summing to the surface measure."""
+    """Quadrature nodes and positive weights on S^{d-1}, summing to the surface
+    measure; for d >= 3, nodes[:, -1] == np.repeat(polar_t, azimuth_count)."""
 
     dim: int
     nodes: np.ndarray  # (n, dim)
     weights: np.ndarray  # (n,)
     angles: np.ndarray | None = None  # d=2: the angle of each node
-    polar_t: np.ndarray | None = None  # d=3: Gauss nodes in cos(polar)
-    azimuth_count: int = 0
+    polar_t: np.ndarray | None = None  # d>=3: polar rule nodes in x_d
+    azimuth_count: int = 0  # d>=3: S^{d-2} nodes per polar node
 
     def __len__(self):
         return len(self.weights)
@@ -123,15 +124,31 @@ class SphereGrid:
         return np.asarray(values) @ self.weights
 
 
+def _polar_rule(d: int, count: int):
+    """Gauss rule (t, w) of ``count`` nodes in t = x_d for the Gegenbauer weight
+    (1 - t^2)^(lam - 1/2), lam = d/2 - 1, exact to degree 2 count - 1, and
+    inv_norm[q] = 1 / int C^lam_q(t)^2 (1 - t^2)^(lam - 1/2) dt for q < count:
+    Gauss-Legendre and (2q + 1)/2 for d = 3, Chebyshev-U and 2/pi for d = 4."""
+    if d == 3:
+        t, w = np.polynomial.legendre.leggauss(count)
+        return t, w, (2 * np.arange(count) + 1) / 2.0
+    if d == 4:
+        k = np.arange(1, count + 1)
+        t = np.cos(k * np.pi / (count + 1))
+        w = np.pi / (count + 1) * np.sin(k * np.pi / (count + 1)) ** 2
+        return t, w, np.full(count, 2 / np.pi)
+    raise ValueError(f"unsupported dimension {d} (polar rules exist for d in {{3, 4}})")
+
+
 def sphere_grid(d: int, resolution: int) -> SphereGrid:
     """Quadrature grid on S^{d-1}.
 
     d=2: ``resolution`` uniform angles with equal weights (exact for
     trigonometric polynomials of degree < resolution).
-    d=3: Gauss-Legendre with ``resolution`` points in the polar cosine crossed
-    with 2*resolution uniform azimuths.
-    d=4: Gauss-Chebyshev (second kind) in the first coordinate crossed with a
-    d=3 grid, supporting the p-basis independence tests.
+    d=3, 4: the polar rule of ``resolution`` nodes in the last coordinate x_d
+    (Gauss-Legendre for d=3, Gauss-Chebyshev of the second kind for d=4; see
+    _polar_rule) crossed with sphere_grid(d-1, .) scaled by sqrt(1 - x_d^2):
+    2*resolution uniform azimuths for d=3, sphere_grid(3, resolution) for d=4.
     """
     if resolution < 1:
         raise ValueError("resolution must be positive")
@@ -140,33 +157,13 @@ def sphere_grid(d: int, resolution: int) -> SphereGrid:
         nodes = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         weights = np.full(resolution, 2 * np.pi / resolution)
         return SphereGrid(2, nodes, weights, angles=ang)
-    if d == 3:
-        t, w = np.polynomial.legendre.leggauss(resolution)
-        naz = 2 * resolution
-        phi = 2 * np.pi * np.arange(naz) / naz
-        st = np.sqrt(1.0 - t**2)
-        x = np.outer(st, np.cos(phi)).ravel()
-        y = np.outer(st, np.sin(phi)).ravel()
-        z = np.repeat(t, naz)
-        nodes = np.stack([x, y, z], axis=1)
-        weights = np.repeat(w * (2 * np.pi / naz), naz)
-        return SphereGrid(3, nodes, weights, polar_t=t, azimuth_count=naz)
-    if d == 4:
-        k = np.arange(1, resolution + 1)
-        t = np.cos(k * np.pi / (resolution + 1))
-        wt = np.pi / (resolution + 1) * np.sin(k * np.pi / (resolution + 1)) ** 2
-        sub = sphere_grid(3, resolution)
-        st = np.sqrt(1.0 - t**2)
-        nodes = np.concatenate(
-            [
-                np.column_stack(
-                    [np.full(len(sub), ti), si * sub.nodes]
-                )
-                for ti, si in zip(t, st)
-            ]
-        )
-        weights = np.concatenate([wi * sub.weights for wi in wt])
-        return SphereGrid(4, nodes, weights)
+    if d in (3, 4):
+        t, w, _ = _polar_rule(d, resolution)
+        sub = sphere_grid(d - 1, 2 * resolution if d == 3 else resolution)
+        ring = np.sqrt(1.0 - t**2)[:, None, None] * sub.nodes
+        nodes = np.column_stack([ring.reshape(-1, d - 1), np.repeat(t, len(sub))])
+        weights = np.outer(w, sub.weights).ravel()
+        return SphereGrid(d, nodes, weights, polar_t=t, azimuth_count=len(sub))
     raise ValueError(f"unsupported dimension {d} (grids exist for d in {{2, 3, 4}})")
 
 
@@ -212,7 +209,7 @@ def default_poles(d: int, m: int) -> np.ndarray:
         return np.eye(d)[d - 1][None, :]
     # The squares have degree 2m, so their Gram matrix needs a rule exact to
     # degree 4m; sphere_grid(d, n) is exact to polar and azimuthal degree
-    # 2n - 1 (for d = 4 the first coordinate uses Chebyshev-U nodes).
+    # 2n - 1 (the polar rule sits in the last coordinate).
     grid = sphere_grid(d, 2 * m + 1)
     best = None
     for attempt in range(POLE_MAX_ATTEMPTS):
@@ -269,10 +266,12 @@ class BasisSpec:
             raise ValueError(f"unknown basis kind {self.kind!r}")
         if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"unknown normalization {self.normalization!r}")
+        if self.dim < 2:
+            raise ValueError(f"dimension d = {self.dim} is below 2")
         if self.kind == FOURIER2D and self.dim != 2:
-            raise ValueError("fourier2d basis requires d = 2")
+            raise ValueError(f"fourier2d basis requires d = 2, got d = {self.dim}")
         if self.kind in (ZONAL, PALPHA) and self.dim < 3:
-            raise ValueError(f"{self.kind} basis requires d >= 3")
+            raise ValueError(f"{self.kind} basis requires d >= 3, got d = {self.dim}")
         for m, table in self.poles.items():
             table = np.asarray(table, dtype=float)
             if table.shape != (harmonic_dim(self.dim, m), self.dim):

@@ -594,3 +594,65 @@ def test_d3_truncated_estimate_exits_2(tmp_path, capsys):
                               "component 11 holds ")
         assert "above the rounding floor" in err
     assert not d.exists() and not v.exists()
+
+
+@pytest.mark.parametrize("kind,flags", [("zonal", {"zonal": True}), ("palpha", {})])
+def test_d4_data_file_rewrites_byte_identical(tmp_path, kind, flags):
+    u = random_field(4, 2, BasisSpec(kind, 4), seed=5, **flags)
+    p, q = tmp_path / "a.data", tmp_path / "b.data"
+    fileio.write_data(str(p), magnitude_coeffs(u), u.basis)
+    data, basis = fileio.read_data(str(p))
+    assert data.dim == 4 and basis.kind == kind
+    fileio.write_data(str(q), data, basis)
+    assert p.read_bytes() == q.read_bytes()
+
+
+@pytest.mark.parametrize("flags", [["--zonal"], ["--basis", "palpha"]])
+def test_d4_data_file_retrieves_an_equivalent_field(tmp_path, capsys, flags):
+    f, d, v = (tmp_path / n for n in ("u.field", "u.data", "v.field"))
+    assert run(["gen", "--dim", "4", "--max-degree", "2", "--seed", "5", *flags,
+                "--out", str(f)]) == 0
+    u = fileio.read_field(str(f))
+    fileio.write_data(str(d), magnitude_coeffs(u), u.basis)
+    assert run(["retrieve", str(d), "--out", str(v)]) == 0
+    capsys.readouterr()
+    assert run(["verify", str(f), str(v)]) == 0
+    out = capsys.readouterr().out
+    assert "equal_magnitude=true" in out
+    assert "equivalence=" in out and "Inequivalent" not in out
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--max-degree", "-1"], "error: max_degree must be >= 0, got -1\n"),
+    (["--dim", "1"], "error: dimension d = 1 is below 2\n"),
+    (["--dim", "1", "--basis", "fourier2d"], "error: dimension d = 1 is below 2\n"),
+])
+def test_gen_rejects_bad_degree_and_dimension(tmp_path, capsys, args, message):
+    f = tmp_path / "u.field"
+    assert run(["gen", *args, "--out", str(f)]) == 1
+    assert capsys.readouterr().err == message
+    assert not f.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "retrieve"])
+def test_negative_degree_on_a_grid_exits_1(tmp_path, capsys, command):
+    f, g, out = (tmp_path / n for n in ("u.field", "u.grid", "out"))
+    assert run(["gen", "--dim", "3", "--zonal", "--max-degree", "2", "--out", str(f)]) == 0
+    assert run(["sample", str(f), "--radial-nodes", "12", "--out", str(g)]) == 0
+    capsys.readouterr()
+    assert run([command, str(g), "--max-degree", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: max_degree must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_extract_names_the_joint_solve_in_its_warning(tmp_path, capsys):
+    # degree 4 cannot fit a degree-6 zonal field: the joint residual is large
+    f, g, d = (tmp_path / n for n in ("u.field", "u.grid", "u.data"))
+    assert run(["gen", "--dim", "3", "--zonal", "--max-degree", "6", "--seed", "0",
+                "--out", str(f)]) == 0
+    assert run(["sample", str(f), "--radial-nodes", "20", "--out", str(g)]) == 0
+    capsys.readouterr()
+    assert run(["extract", str(g), "--max-degree", "4", "--out", str(d)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("warning: joint solve: residual ")
+    assert not any("component -1" in line for line in err)

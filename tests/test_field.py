@@ -349,6 +349,11 @@ def test_sample_magnitude_mp_against_independent_evaluation():
 
 
 def test_field_validation():
+    with pytest.raises(ValueError, match="max_degree must be >= 0, got -1"):
+        HerglotzField(2, -1, F2, [])
+    for flags in ({}, {"zero_mean": True}, {"all_r": True}, {"real": True}):
+        with pytest.raises(ValueError, match="max_degree must be >= 0, got -1"):
+            random_field(2, -1, F2, 0, **flags)
     with pytest.raises(ValueError):
         HerglotzField(2, 1, F2, [np.zeros(1, complex)])
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 
 from herglotz.harmonics import (
     BasisSpec,
+    _polar_rule,
     basis_eval,
     default_poles,
     degree_multi_indices,
@@ -172,6 +173,25 @@ def test_sphere_grid_d3_and_d4():
     assert abs(g4.weights.sum() - surface_measure(4)) < 1e-11
 
 
+@pytest.mark.parametrize("d,res", [(3, 2), (3, 6), (4, 2), (4, 5)])
+def test_sphere_grid_polar_rule_sits_in_the_last_coordinate(d, res):
+    g = sphere_grid(d, res)
+    sub = sphere_grid(d - 1, 2 * res if d == 3 else res)
+    assert g.azimuth_count == len(sub) and len(g) == res * len(sub)
+    assert np.array_equal(g.nodes[:, -1], np.repeat(g.polar_t, g.azimuth_count))
+    assert np.abs(np.linalg.norm(g.nodes, axis=1) - 1).max() < 1e-15
+    # the mean of x_d^2 over S^{d-1} is 1/d
+    assert abs(g.integrate(g.nodes[:, -1] ** 2) - surface_measure(d) / d) < 1e-13
+
+
+@pytest.mark.parametrize("d,lam", [(3, 0.5), (4, 1.0)])
+def test_polar_rule_projects_onto_gegenbauer_polynomials(d, lam):
+    # inv_norm[q] * sum_i w_i C_p(t_i) C_q(t_i) is the identity up to degree count - 1
+    t, w, inv_norm = _polar_rule(d, 7)
+    C = np.array([gegenbauer(q, lam, t) for q in range(7)])
+    assert np.abs((C * w) @ C.T * inv_norm[None, :] - np.eye(7)).max() < 1e-13
+
+
 def test_sphere_grid_unsupported():
     with pytest.raises(ValueError):
         sphere_grid(5, 4)
@@ -281,3 +301,7 @@ def test_basis_spec_validation():
         BasisSpec("nope", 3)
     with pytest.raises(ValueError):
         BasisSpec("zonal", 3, poles={1: np.array([[0.0, 0.0, 2.0]] * 3)})
+    with pytest.raises(ValueError, match="dimension d = 1 is below 2"):
+        BasisSpec("zonal", 1)
+    with pytest.raises(ValueError, match="zonal basis requires d >= 3, got d = 2"):
+        BasisSpec("zonal", 2)
