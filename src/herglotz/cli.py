@@ -15,6 +15,7 @@ from .extract import (
     DegreeUnresolvableError,
     ExtractionRankError,
     NonZonalDataError,
+    check_truncation,
     extract_magnitude_data,
     radial_grid,
 )
@@ -89,9 +90,25 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _extract(grid, max_degree):
+    """extract_magnitude_data, with its residual warnings on stderr; then a
+    given max_degree below the samples' content exits 2, as an estimated one does."""
+    data, reports = extract_magnitude_data(grid, grid.dim, max_degree)
+    scale = 1.0 + float(np.max(np.abs(np.asarray(grid.values, dtype=float))))
+    for rep in reports:
+        if rep.residual > 1e-9 * scale:
+            where = "joint solve" if rep.frequency == -1 else f"component {rep.frequency}"
+            for w in rep.warnings or [f"residual {rep.residual:.3e}"]:
+                print(f"warning: {where}: {w}", file=sys.stderr)
+    if max_degree is not None:
+        peaks = {rep.frequency: rep.residual for rep in reports}
+        check_truncation(peaks, max_degree, scale, "max_degree")
+    return data, reports
+
+
 def cmd_extract(args) -> int:
     grid = fileio.read_grid(args.grid)
-    data, reports = extract_magnitude_data(grid, grid.dim, args.max_degree)
+    data, reports = _extract(grid, args.max_degree)
     basis = None
     if grid.dim >= 3:
         basis = BasisSpec(args.basis or _default_basis_kind(grid.dim), grid.dim)
@@ -102,12 +119,6 @@ def cmd_extract(args) -> int:
         f"status=ok\nout={args.out}\nmax_degree={data.max_degree}"
         f"\nresidual={_fmt(worst)}\ncondition={_fmt(cond)}"
     )
-    scale = 1.0 + float(np.max(np.abs(np.asarray(grid.values, dtype=float))))
-    for rep in reports:
-        if rep.residual > 1e-9 * scale:
-            where = "joint solve" if rep.frequency == -1 else f"component {rep.frequency}"
-            for w in rep.warnings or [f"residual {rep.residual:.3e}"]:
-                print(f"warning: {where}: {w}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -116,9 +127,7 @@ def _load_data_or_grid(path, max_degree):
         head = fh.readline().strip()
     if head == fileio.DATA_MAGIC:
         return fileio.read_data(path)
-    grid = fileio.read_grid(path)
-    data, _ = extract_magnitude_data(grid, grid.dim, max_degree)
-    return data, None
+    return _extract(fileio.read_grid(path), max_degree)[0], None
 
 
 def cmd_retrieve(args) -> int:

@@ -482,10 +482,8 @@ def estimate_max_degree(samples: MagnitudeGrid, d: int) -> int:
     unmixing residual keeps improving; only the residuals are read, so the
     candidate unmixings use the "float64" method. For d >= 3 zonal data the
     diagonals always land in the top Gegenbauer component, so the bandwidth
-    estimate is the degree. In both, an angular component above 2M that
-    exceeds TRUNCATION_FLOOR * scale after the estimate M is content a
-    degree-M field cannot hold: DegreeUnresolvableError, rather than a
-    silently truncated degree.
+    estimate is the degree. In both, check_truncation then refuses content
+    above 2M rather than truncating it silently.
     """
     profiles = angular_decompose(samples, d)
     scale = float(np.max(np.abs(np.asarray(samples.values, dtype=float)))) + 1.0
@@ -494,16 +492,23 @@ def estimate_max_degree(samples: MagnitudeGrid, d: int) -> int:
     act = [q for q, peak in peaks.items() if peak > 1e-10 * scale]
     guess = max((q + 1) // 2 for q in act) if act else 0
     M = _residual_degree(profiles, guess, scale) if d == 2 else guess
+    check_truncation(peaks, M, scale, "the estimate")
+    return M
+
+
+def check_truncation(peaks: dict, M: int, scale: float, source: str):
+    """DegreeUnresolvableError when a component q > 2M of ``peaks`` (component ->
+    largest modulus over the radii, the residual of its report beyond 2M) is
+    above TRUNCATION_FLOOR * scale; ``source`` names where M came from."""
     floor = TRUNCATION_FLOOR * scale
     above = {q: peak for q, peak in peaks.items() if q > 2 * M and peak > floor}
     if above:
         q = max(above, key=above.get)
         raise DegreeUnresolvableError(
-            f"degree {M + 1} unresolvable: the estimate is {M}, but angular component "
+            f"degree {M + 1} unresolvable: {source} is {M}, but angular component "
             f"{q} holds {above[q]:.3e}, above the rounding floor {floor:.3e} of "
             f"components beyond {2 * M}"
         )
-    return M
 
 
 def _residual_degree(profiles, guess, scale):

@@ -4,7 +4,6 @@ All numbers are serialized with 17 significant digits so that write/read
 round trips are bit-faithful; writes are atomic (temp file + rename).
 """
 
-import math
 import os
 import tempfile
 
@@ -185,23 +184,21 @@ def read_field(path: str) -> HerglotzField:
 # magnitude grid (delimited text)
 
 
-_GRID_HEADERS = {2: "r,theta,value", 3: "r,theta,phi,value"}
+_GRID_HEADERS = {2: "r,theta,value", 3: "r,theta,phi,value", 4: "r,psi,theta,phi,value"}
 
 
 def _grid_angles(grid: SphereGrid) -> np.ndarray:
     """Angle columns of a magnitude grid file, one row per node in file order.
 
-    d = 2: theta of each uniform node; d = 3: (theta, phi) over the Gauss
-    polar nodes (outer) crossed with the uniform azimuths (inner).
+    d = 2: theta of each uniform node; d >= 3: the polar angle arccos(x_d) of
+    each polar node (outer) crossed with the angle columns of the S^{d-2}
+    factor grid (inner), so a d = 4 row is psi followed by a d = 3 row.
     """
     if grid.dim == 2:
         return grid.angles[:, None]
-    if grid.dim == 3:
-        naz = grid.azimuth_count
-        phis = 2 * np.pi * np.arange(naz) / naz
-        polar = np.arccos(grid.polar_t)
-        return np.column_stack([np.repeat(polar, naz), np.tile(phis, len(polar))])
-    raise ValueError(f"magnitude grid files hold d = 2 or 3 samples, not d = {grid.dim}")
+    inner = _grid_angles(grid.sub)
+    polar = np.arccos(grid.polar_t)
+    return np.column_stack([np.repeat(polar, len(inner)), np.tile(inner, (len(polar), 1))])
 
 
 def grid_to_text(g: MagnitudeGrid) -> str:
@@ -248,15 +245,15 @@ def parse_grid(text: str) -> MagnitudeGrid:
     n_nodes = len(arr) // len(radii)
     if len(arr) != n_nodes * len(radii):
         raise FileFormatError("grid rows do not factor into radii x angular nodes")
-    # a d = 3 grid of resolution n has n polar nodes and 2n azimuths
-    res = n_nodes if dim == 2 else math.isqrt(n_nodes // 2)
-    if dim == 3 and 2 * res * res != n_nodes:
-        raise FileFormatError("d=3 grid nodes do not factor into polar x azimuth")
-    grid = sphere_grid(dim, res)
+    # res = the number of distinct leading angles; sphere_grid(dim, res) has at least
+    # res^(dim - 1) nodes, so a count that cannot match is refused unbuilt
+    res = 1 + int(np.count_nonzero(np.diff(np.sort(arr[:n_nodes, 1])) > 1e-9))
+    if res ** (dim - 1) > n_nodes or len(grid := sphere_grid(dim, res)) != n_nodes:
+        raise FileFormatError(f"{n_nodes} nodes per radius make no d = {dim} grid")
     layout = np.column_stack(
         [np.repeat(radii, n_nodes), np.tile(_grid_angles(grid), (len(radii), 1))]
     )
-    off = np.flatnonzero(np.any(np.abs(arr[:, :-1] - layout) > 1e-9, axis=1))
+    off = np.flatnonzero(~np.all(np.abs(arr[:, :-1] - layout) <= 1e-9, axis=1))  # NaN is off
     if off.size:
         k = off[0]
         raise FileFormatError(

@@ -115,10 +115,14 @@ class SphereGrid:
     weights: np.ndarray  # (n,)
     angles: np.ndarray | None = None  # d=2: the angle of each node
     polar_t: np.ndarray | None = None  # d>=3: polar rule nodes in x_d
-    azimuth_count: int = 0  # d>=3: S^{d-2} nodes per polar node
+    sub: "SphereGrid | None" = None  # d>=3: the S^{d-2} factor grid
 
     def __len__(self):
         return len(self.weights)
+
+    @property
+    def azimuth_count(self) -> int:  # d>=3: S^{d-2} nodes per polar node
+        return len(self.sub) if self.sub is not None else 0
 
     def integrate(self, values):
         return np.asarray(values) @ self.weights
@@ -163,7 +167,7 @@ def sphere_grid(d: int, resolution: int) -> SphereGrid:
         ring = np.sqrt(1.0 - t**2)[:, None, None] * sub.nodes
         nodes = np.column_stack([ring.reshape(-1, d - 1), np.repeat(t, len(sub))])
         weights = np.outer(w, sub.weights).ravel()
-        return SphereGrid(d, nodes, weights, polar_t=t, azimuth_count=len(sub))
+        return SphereGrid(d, nodes, weights, polar_t=t, sub=sub)
     raise ValueError(f"unsupported dimension {d} (grids exist for d in {{2, 3, 4}})")
 
 

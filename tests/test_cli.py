@@ -13,7 +13,7 @@ from herglotz.field import (
     trivially_equivalent,
 )
 from herglotz.fileio import FileFormatError
-from herglotz.harmonics import BasisSpec, fourier2d_basis
+from herglotz.harmonics import BasisSpec, fourier2d_basis, sphere_grid
 from herglotz.retrieve import retrieve_2d, retrieve_3d_mean
 
 
@@ -74,16 +74,30 @@ def test_pipeline_roundtrip(tmp_path, capsys):
 
 
 def test_grid_roundtrip_bit_faithful(tmp_path):
-    u = random_field(2, 3, fourier2d_basis(), seed=9)
-    g = sample_magnitude(u, radial_grid(12), 9)
-    p = tmp_path / "g.grid"
-    fileio.write_grid(str(p), g)
-    back = fileio.read_grid(str(p))
-    assert np.array_equal(back.radii, g.radii)
-    assert np.array_equal(back.values, g.values)
-    fileio.write_grid(str(p), back)
-    again = fileio.read_grid(str(p))
-    assert np.array_equal(again.values, back.values)
+    fields = [(random_field(2, 3, fourier2d_basis(), seed=9), 9),
+              (random_field(4, 2, BasisSpec("zonal", 4), seed=9, zonal=True), 4)]
+    for u, angular in fields:
+        g = sample_magnitude(u, radial_grid(12), angular)
+        p = tmp_path / "g.grid"
+        fileio.write_grid(str(p), g)
+        back = fileio.read_grid(str(p))
+        assert back.dim == u.dim and len(back.grid) == len(g.grid)
+        assert np.array_equal(back.radii, g.radii)
+        assert np.array_equal(back.values, g.values)
+        fileio.write_grid(str(p), back)
+        again = fileio.read_grid(str(p))
+        assert np.array_equal(again.values, back.values)
+
+
+@pytest.mark.parametrize("res", range(1, 9))
+def test_d3_grid_angles_keep_their_explicit_construction(res):
+    # polar angles of the Gauss-Legendre nodes (outer) crossed with 2 res
+    # uniform azimuths (inner), as the d = 3 grid files have always been written
+    grid = sphere_grid(3, res)
+    phis = 2 * np.pi * np.arange(2 * res) / (2 * res)
+    polar = np.arccos(grid.polar_t)
+    explicit = np.column_stack([np.repeat(polar, 2 * res), np.tile(phis, res)])
+    assert np.array_equal(fileio._grid_angles(grid), explicit)
 
 
 def test_field_file_roundtrip_and_errors(tmp_path):
@@ -347,6 +361,8 @@ _DATA2 = fileio.data_to_text(magnitude_coeffs(_U2))
 _DATA3 = fileio.data_to_text(magnitude_coeffs(_U3), _U3.basis)
 _GRID2 = fileio.grid_to_text(sample_magnitude(_U2, radial_grid(2), 3))
 _GRID3 = fileio.grid_to_text(sample_magnitude(_U3, radial_grid(2), 2))
+_U4 = random_field(4, 1, BasisSpec("zonal", 4), seed=6, zonal=True)
+_GRID4 = fileio.grid_to_text(sample_magnitude(_U4, radial_grid(1), 2))
 _BROADCAST = "could not broadcast input array from shape (4,) into shape (3,)"
 
 
@@ -492,6 +508,14 @@ def test_data_reader_errors(text, lineno, new, message):
                  "line 3: row is off the grid layout: expected r,theta,phi = "
                  "0.18912427893638994,2.1862760354652839,1.5707963267948966, "
                  "got 0.18912427893638994,0.9553166181245093,1.5707963267948966", id="swap-d3"),
+    # a NaN compares false with every tolerance, so it must be refused explicitly
+    pytest.param(_edit(_GRID3, 3, "0.18912427893638994,2.1862760354652839,nan,1.0"),
+                 "line 3: row is off the grid layout: expected r,theta,phi = "
+                 "0.18912427893638994,2.1862760354652839,1.5707963267948966, "
+                 "got 0.18912427893638994,2.1862760354652839,nan", id="nan-d3"),
+    # the first of the two psi blocks of a resolution-2 grid: 1 psi needs 2 nodes
+    pytest.param("\n".join(_GRID4.splitlines()[:9]) + "\n",
+                 "8 nodes per radius make no d = 4 grid", id="nodes-d4"),
 ])
 def test_grid_reader_errors(text, message):
     with pytest.raises(FileFormatError) as exc:
@@ -510,14 +534,23 @@ def test_swapped_grid_rows_exit_1(tmp_path, capsys):
     assert not d.exists()
 
 
-def test_sample_d4_exits_1(tmp_path, capsys):
-    f, g = tmp_path / "u.field", tmp_path / "u.grid"
-    assert run(["gen", "--dim", "4", "--zonal", "--max-degree", "2", "--out", str(f)]) == 0
+@pytest.mark.parametrize("flags", [[], ["--real"], ["--zero-mean"]],
+                         ids=["generic", "real", "zero-mean"])
+def test_d4_zonal_pipeline_roundtrip(tmp_path, capsys, flags):
+    f, g, d, v = (tmp_path / n for n in ("u.field", "u.grid", "u.data", "v.field"))
+    assert run(["gen", "--dim", "4", "--zonal", "--max-degree", "2", "--seed", "3", *flags,
+                "--out", str(f)]) == 0
+    assert run(["sample", str(f), "--radial-nodes", "24", "--out", str(g)]) == 0
+    # 2 (2M + 4)^3 = 1024 nodes per radius: psi outer, then a d = 3 row
+    lines = g.read_text().splitlines()
+    assert lines[0] == "r,psi,theta,phi,value" and len(lines) == 1 + 24 * 1024
+    assert run(["extract", str(g), "--out", str(d)]) == 0
+    assert run(["retrieve", str(d), "--out", str(v)]) == 0
     capsys.readouterr()
-    assert run(["sample", str(f), "--radial-nodes", "4", "--out", str(g)]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: magnitude grid files hold d = 2 or 3 samples, not d = 4\n"
-    assert not g.exists()
+    assert run(["verify", str(f), str(v)]) == 0
+    out = capsys.readouterr().out
+    assert "equal_magnitude=true" in out
+    assert "equivalence=" in out and "Inequivalent" not in out
 
 
 def test_extract_d3_nonzonal_exits_3(tmp_path, capsys):
@@ -646,13 +679,32 @@ def test_negative_degree_on_a_grid_exits_1(tmp_path, capsys, command):
 
 
 def test_extract_names_the_joint_solve_in_its_warning(tmp_path, capsys):
-    # degree 4 cannot fit a degree-6 zonal field: the joint residual is large
-    f, g, d = (tmp_path / n for n in ("u.field", "u.grid", "u.data"))
+    # degree 4 cannot fit a degree-6 zonal field: the joint residual is large,
+    # and the components above 8 refuse the given degree
+    f, g, d, v = (tmp_path / n for n in ("u.field", "u.grid", "u.data", "v.field"))
     assert run(["gen", "--dim", "3", "--zonal", "--max-degree", "6", "--seed", "0",
                 "--out", str(f)]) == 0
     assert run(["sample", str(f), "--radial-nodes", "20", "--out", str(g)]) == 0
+    for cmd in (["extract", str(g), "--out", str(d)], ["retrieve", str(g), "--out", str(v)]):
+        capsys.readouterr()
+        assert run([*cmd, "--max-degree", "4"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("warning: joint solve: residual ")
+        assert not any("component -1" in line for line in err)
+        assert err[-1].startswith("error: degree 5 unresolvable: max_degree is 4, but angular "
+                                  "component 9 holds ")
+    assert not d.exists() and not v.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "retrieve"])
+def test_given_d2_degree_below_the_content_exits_2(tmp_path, capsys, command):
+    f, g, out = (tmp_path / n for n in ("u.field", "u.grid", "out"))
+    assert run(["gen", "--max-degree", "5", "--out", str(f)]) == 0
+    assert run(["sample", str(f), "--out", str(g)]) == 0
     capsys.readouterr()
-    assert run(["extract", str(g), "--max-degree", "4", "--out", str(d)]) == 0
+    assert run([command, str(g), "--max-degree", "3", "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err[0].startswith("warning: joint solve: residual ")
-    assert not any("component -1" in line for line in err)
+    assert err[-1].startswith("error: degree 4 unresolvable: max_degree is 3, but angular "
+                              "component 7 holds ")
+    assert "above the rounding floor" in err[-1]
+    assert not out.exists()
