@@ -213,6 +213,34 @@ def write_grid(path: str, g: MagnitudeGrid):
     atomic_write(path, grid_to_text(g))
 
 
+def _numbered_rows(body):
+    """(line number, stripped text) of each non-blank line after the header."""
+    return [(i, s) for i, raw in enumerate(body, start=2) if (s := raw.strip())]
+
+
+def _grid_rows(body, dim: int) -> np.ndarray:
+    """The (n, dim + 1) float array of the non-blank lines after the header,
+    converted in one numpy call. Lines numpy refuses (a line of spaces, a bad
+    number, a number such as 1_0 that float() reads) are converted row by row
+    with float() instead, which names the first bad line."""
+    try:
+        arr = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        if arr.shape[1] == dim + 1:
+            return arr
+    except ValueError:
+        pass
+    rows = []
+    for i, s in _numbered_rows(body):
+        parts = s.split(",")
+        if len(parts) != dim + 1:
+            raise FileFormatError(f"expected {dim + 1} fields, got {len(parts)}", i)
+        try:
+            rows.append([float(x) for x in parts])
+        except ValueError as e:
+            raise FileFormatError(f"bad number: {e}", i)
+    return np.array(rows)
+
+
 def parse_grid(text: str) -> MagnitudeGrid:
     """Read a grid file; its rows must run radius-major over the sphere_grid nodes."""
     lines = text.splitlines()
@@ -222,26 +250,12 @@ def parse_grid(text: str) -> MagnitudeGrid:
     dim = next((d for d, h in _GRID_HEADERS.items() if h == header), None)
     if dim is None:
         raise FileFormatError(f"unrecognized grid header {header!r}", 1)
-    rows, line_nos = [], []
-    for i, raw in enumerate(lines[1:], start=2):
-        s = raw.strip()
-        if not s:
-            continue
-        parts = s.split(",")
-        if len(parts) != dim + 1:
-            raise FileFormatError(f"expected {dim + 1} fields, got {len(parts)}", i)
-        try:
-            rows.append([float(x) for x in parts])
-        except ValueError as e:
-            raise FileFormatError(f"bad number: {e}", i)
-        line_nos.append(i)
-    if not rows:
+    body = lines[1:]
+    if not any(map(str.strip, body)):
         raise FileFormatError("grid file has no data rows")
-    arr = np.array(rows)
-    radii = []
-    for r in arr[:, 0]:
-        if not radii or r != radii[-1]:
-            radii.append(r)
+    arr = _grid_rows(body, dim)
+    # a radius starts wherever the first column changes (a NaN always does)
+    radii = arr[np.flatnonzero(np.r_[True, arr[1:, 0] != arr[:-1, 0]]), 0]
     n_nodes = len(arr) // len(radii)
     if len(arr) != n_nodes * len(radii):
         raise FileFormatError("grid rows do not factor into radii x angular nodes")
@@ -259,9 +273,9 @@ def parse_grid(text: str) -> MagnitudeGrid:
         raise FileFormatError(
             f"row is off the grid layout: expected {header.removesuffix(',value')} = "
             f"{','.join(map(_fmt, layout[k]))}, got {','.join(map(_fmt, arr[k, :-1]))}",
-            line_nos[k],
+            _numbered_rows(body)[k][0],
         )
-    return MagnitudeGrid(dim, np.array(radii), grid, arr[:, -1].reshape(len(radii), n_nodes))
+    return MagnitudeGrid(dim, radii, grid, arr[:, -1].reshape(len(radii), n_nodes))
 
 
 def read_grid(path: str) -> MagnitudeGrid:

@@ -15,18 +15,22 @@ Plus quadrature grids on the sphere and numerical Gram-rank tests.
 
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 
 import numpy as np
 
 from .poly import Polynomial
-from .specfun import gegenbauer
+from .specfun import gegenbauer, leggauss
 
 SURFACE_TOL = 1e-12
 POLE_MIN_SV = 1e-3  # see default_poles
 POLE_MAX_ATTEMPTS = 60
 RANK_TOL = 1e-10  # see gram_rank
+_GRID_CACHE_SIZE = 64  # sphere grids kept by sphere_grid, factor grids included
+_VALUE_TABLE_SIZE = 64  # (degree, node array) entries kept per basis; a field needs ~13
 
 
 def surface_measure(d: int) -> float:
@@ -105,7 +109,7 @@ def laplacian(p: Polynomial) -> Polynomial:
 # sphere grids
 
 
-@dataclass
+@dataclass(frozen=True)
 class SphereGrid:
     """Quadrature nodes and positive weights on S^{d-1}, summing to the surface
     measure; for d >= 3, nodes[:, -1] == np.repeat(polar_t, azimuth_count)."""
@@ -134,7 +138,7 @@ def _polar_rule(d: int, count: int):
     inv_norm[q] = 1 / int C^lam_q(t)^2 (1 - t^2)^(lam - 1/2) dt for q < count:
     Gauss-Legendre and (2q + 1)/2 for d = 3, Chebyshev-U and 2/pi for d = 4."""
     if d == 3:
-        t, w = np.polynomial.legendre.leggauss(count)
+        t, w = leggauss(count)
         return t, w, (2 * np.arange(count) + 1) / 2.0
     if d == 4:
         k = np.arange(1, count + 1)
@@ -144,8 +148,15 @@ def _polar_rule(d: int, count: int):
     raise ValueError(f"unsupported dimension {d} (polar rules exist for d in {{3, 4}})")
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
 def sphere_grid(d: int, resolution: int) -> SphereGrid:
-    """Quadrature grid on S^{d-1}.
+    """Quadrature grid on S^{d-1}, built once per (d, resolution) and shared:
+    its arrays are read-only.
 
     d=2: ``resolution`` uniform angles with equal weights (exact for
     trigonometric polynomials of degree < resolution).
@@ -160,6 +171,7 @@ def sphere_grid(d: int, resolution: int) -> SphereGrid:
         ang = 2 * np.pi * np.arange(resolution) / resolution
         nodes = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         weights = np.full(resolution, 2 * np.pi / resolution)
+        _read_only(ang, nodes, weights)
         return SphereGrid(2, nodes, weights, angles=ang)
     if d in (3, 4):
         t, w, _ = _polar_rule(d, resolution)
@@ -167,6 +179,7 @@ def sphere_grid(d: int, resolution: int) -> SphereGrid:
         ring = np.sqrt(1.0 - t**2)[:, None, None] * sub.nodes
         nodes = np.column_stack([ring.reshape(-1, d - 1), np.repeat(t, len(sub))])
         weights = np.outer(w, sub.weights).ravel()
+        _read_only(t, nodes, weights)
         return SphereGrid(d, nodes, weights, polar_t=t, sub=sub)
     raise ValueError(f"unsupported dimension {d} (grids exist for d in {{2, 3, 4}})")
 
@@ -254,8 +267,9 @@ class BasisSpec:
     """Which spherical-harmonic basis is in force.
 
     poles maps degree -> (N(m), d) array for the zonal family. Caches for
-    p-basis polynomials and orthonormalization transforms are built lazily and
-    only read afterwards.
+    p-basis polynomials, orthonormalization transforms and raw values on node
+    arrays (see _raw_values) are built lazily, only read afterwards, and belong
+    to this basis alone.
     """
 
     kind: str
@@ -264,6 +278,9 @@ class BasisSpec:
     poles: dict = field(default_factory=dict)
     _palpha_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _ortho_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _value_table: OrderedDict = field(
+        default_factory=OrderedDict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -300,6 +317,26 @@ class BasisSpec:
         return self._palpha_cache[m]
 
     def _raw_values(self, m: int, theta: np.ndarray) -> np.ndarray:
+        """Raw degree-m values at float points theta (n, d) -> (n, N(m)).
+
+        An array of two or more nodes is evaluated once: its read-only values
+        are kept in a table keyed on (m, shape, bytes), the _VALUE_TABLE_SIZE
+        most recently used entries. A single point is evaluated afresh.
+        """
+        if len(theta) < 2:
+            return self._evaluate(m, theta)
+        key = (m, theta.shape, theta.tobytes())
+        table = self._value_table
+        if key in table:
+            table.move_to_end(key)
+            return table[key]
+        F = table[key] = self._evaluate(m, theta)
+        _read_only(F)
+        if len(table) > _VALUE_TABLE_SIZE:
+            table.popitem(last=False)
+        return F
+
+    def _evaluate(self, m: int, theta: np.ndarray) -> np.ndarray:
         """Values of the raw degree-m functions at points theta (n, d) -> (n, N(m))."""
         if self.kind == FOURIER2D:
             ang = np.arctan2(theta[:, 1], theta[:, 0])

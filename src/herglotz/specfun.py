@@ -223,16 +223,19 @@ def bessel_product_series(n: int, m: int, alpha, r, budget: SeriesBudget = DEFAU
     return total
 
 
-_leggauss_cache: dict = {}
+@lru_cache(maxsize=None)
+def leggauss(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n; read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def gauss_legendre(a: float, b: float, n: int, panels: int = 1):
     """Composite Gauss-Legendre nodes and weights on [a, b]."""
     if n < 1 or panels < 1:
         raise ValueError("need at least one node and one panel")
-    if n not in _leggauss_cache:
-        _leggauss_cache[n] = np.polynomial.legendre.leggauss(n)
-    x, w = _leggauss_cache[n]
+    x, w = leggauss(n)
     edges = np.linspace(a, b, panels + 1)
     nodes = []
     weights = []

@@ -100,6 +100,27 @@ def test_d3_grid_angles_keep_their_explicit_construction(res):
     assert np.array_equal(fileio._grid_angles(grid), explicit)
 
 
+@pytest.mark.parametrize("dim, basis, angular", [
+    (2, fourier2d_basis(), 17), (3, BasisSpec("zonal", 3), 12), (4, BasisSpec("zonal", 4), 6)],
+    ids=["d2", "d3", "d4"])
+def test_grid_reader_converts_as_float_does_per_row(dim, basis, angular):
+    u = random_field(dim, 3, basis, seed=8, zonal=dim > 2)
+    text = fileio.grid_to_text(sample_magnitude(u, radial_grid(20), angular))
+    rows = np.array([[float(x) for x in s.split(",")] for s in text.splitlines()[1:]])
+    n = len(sphere_grid(dim, angular))
+    g = fileio.parse_grid(text)
+    assert np.array_equal(g.radii, rows[::n, 0])
+    assert np.array_equal(g.values.ravel(), rows[:, -1])
+    # lines numpy refuses but the per-row path reads: a number float() takes
+    # and a line of spaces
+    lines = text.splitlines()
+    r, *rest = lines[5].split(",")
+    lines[5] = ",".join([r[:3] + "_" + r[3:]] + rest)
+    for edit in (lines, lines[:3] + ["  "] + lines[3:]):
+        slow = fileio.parse_grid("\n".join(edit) + "\n")
+        assert np.array_equal(slow.radii, g.radii) and np.array_equal(slow.values, g.values)
+
+
 def test_field_file_roundtrip_and_errors(tmp_path):
     u = random_field(3, 2, BasisSpec("zonal", 3), seed=4)
     p = tmp_path / "u.field"

@@ -21,7 +21,7 @@ from herglotz.field import (
     sample_magnitude,
     trivially_equivalent,
 )
-from herglotz.harmonics import BasisSpec, fourier2d_basis, sphere_grid
+from herglotz.harmonics import _VALUE_TABLE_SIZE, BasisSpec, fourier2d_basis, sphere_grid
 from herglotz.specfun import bessel_j
 
 F2 = fourier2d_basis()
@@ -70,6 +70,19 @@ def test_eval_continuity_at_zero():
     devs = [abs(eval_field(u, eps, th) - v0) for eps in (1e-2, 1e-4, 1e-6)]
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < 1e-5
+
+
+def test_point_wise_evaluation_leaves_the_value_table_bounded():
+    u = random_field(3, 1, BasisSpec("zonal", 3), seed=5)
+    data = magnitude_coeffs(u)
+    table = u.basis._value_table
+    assert len(table) == u.max_degree + 1  # one entry per degree on the data grid
+    pts = np.random.default_rng(0).standard_normal((10_000, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    vals = [eval_field(u, 0.5, p) for p in pts]
+    assert len(table) == u.max_degree + 1 <= _VALUE_TABLE_SIZE
+    assert vals[0] == eval_field_grid(u, [0.5], pts[:2])[0, 0]
+    assert np.array_equal(magnitude_coeffs(u).table, data.table)
 
 
 def test_eval_warns_beyond_working_radius():

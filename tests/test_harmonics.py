@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from herglotz import specfun
 from herglotz.harmonics import (
+    _VALUE_TABLE_SIZE,
     BasisSpec,
     _polar_rule,
     basis_eval,
@@ -197,6 +199,62 @@ def test_sphere_grid_unsupported():
         sphere_grid(5, 4)
     with pytest.raises(ValueError):
         sphere_grid(3, 0)
+
+
+def test_sphere_grid_is_built_once_and_read_only():
+    g = sphere_grid(3, 8)
+    assert g is sphere_grid(3, 8) and g.sub is sphere_grid(2, 16)
+    for arr in (g.nodes, g.weights, g.polar_t, g.sub.nodes, g.sub.weights, g.sub.angles):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    with pytest.raises(AttributeError):
+        g.nodes = g.nodes.copy()
+
+
+def test_polar_rule_reads_the_one_gauss_legendre_rule():
+    t, w, _ = _polar_rule(3, 9)
+    x, v = np.polynomial.legendre.leggauss(9)
+    assert np.array_equal(t, x) and np.array_equal(w, v)
+    assert t is specfun.leggauss(9)[0] and w is specfun.leggauss(9)[1]
+    assert t is sphere_grid(3, 9).polar_t
+
+
+def test_basis_values_are_evaluated_once_per_basis_and_node_array(monkeypatch):
+    evaluate = BasisSpec._evaluate
+    calls = []
+
+    def counted(self, m, theta):
+        calls.append(m)
+        return evaluate(self, m, theta)
+
+    monkeypatch.setattr(BasisSpec, "_evaluate", counted)
+    nodes = sphere_grid(3, 8).nodes
+    spec = BasisSpec("zonal", 3)
+    first = spec.values(2, nodes)
+    # keyed on the node values, not on the array object; the Gram matrix of
+    # degree 2 is taken on the same grid
+    assert spec.values(2, nodes.copy()) is first
+    spec.gram(2)
+    assert calls == [2]
+    assert np.array_equal(first, evaluate(spec, 2, nodes))
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
+    # a basis with other poles keeps its own table
+    other = BasisSpec("zonal", 3, poles={2: np.roll(default_poles(3, 2), 1, axis=1)})
+    assert not np.allclose(other.values(2, nodes), first)
+    assert calls == [2, 2]
+    # a single point is evaluated afresh and not tabled
+    spec.values(2, nodes[0])
+    spec.values(2, nodes[0])
+    assert calls == [2, 2, 2, 2] and len(spec._value_table) == 1
+
+
+def test_basis_value_table_keeps_its_bound():
+    spec = BasisSpec("palpha", 3)
+    pts = sphere_grid(3, 12).nodes
+    for k in range(_VALUE_TABLE_SIZE + 10):
+        spec.values(1, pts[2 * k:2 * k + 2])
+    assert len(spec._value_table) == _VALUE_TABLE_SIZE
 
 
 @pytest.mark.parametrize(

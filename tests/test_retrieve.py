@@ -325,6 +325,22 @@ def test_retrieve_3d_mean_complex_field():
         assert result.residual < 1e-9
 
 
+def test_zonal_chain_evaluates_each_basis_function_once_per_grid(monkeypatch):
+    evaluate = BasisSpec._evaluate
+    keys = []
+
+    def counted(self, m, theta):
+        keys.append((id(self), m, theta.tobytes()))
+        return evaluate(self, m, theta)
+
+    monkeypatch.setattr(BasisSpec, "_evaluate", counted)
+    basis = BasisSpec("zonal", 3)  # fresh, as in each CLI process
+    u = random_field(3, 4, basis, seed=17)
+    result = retrieve_3d_mean(magnitude_coeffs(u), basis)
+    assert equal_magnitude(u, result.field)
+    assert keys and len(set(keys)) == len(keys)
+
+
 def test_retrieve_3d_mean_rejects_zero_mean():
     u = random_field(3, 3, P3, seed=18, zero_mean=True)
     with pytest.raises(BranchNotApplicableError):

@@ -20,6 +20,7 @@ from herglotz.specfun import (
     bessel_product_integral,
     bessel_product_series,
     gauss_legendre,
+    leggauss,
     gegenbauer,
     validate_order,
 )
@@ -214,6 +215,18 @@ def test_gauss_legendre_exactness():
     assert np.sum(w * x**7) == pytest.approx(2.0**8 / 8.0, rel=1e-13)
     x, w = gauss_legendre(-1.0, 1.0, 16, panels=4)
     assert np.sum(w * x**10) == pytest.approx(2.0 / 11.0, rel=1e-12)
+
+
+def test_gauss_legendre_reads_the_cached_rule():
+    for n in range(1, 13):
+        x, w = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(leggauss(n)[0], x) and np.array_equal(leggauss(n)[1], w)
+        assert leggauss(n)[0] is leggauss(n)[0]
+        # on [-1, 1] the affine map is the identity, bit for bit
+        gx, gw = gauss_legendre(-1.0, 1.0, n)
+        assert np.array_equal(gx, x) and np.array_equal(gw, w)
+    with pytest.raises(ValueError):
+        leggauss(3)[0][0] = 0.0
 
 
 def test_gamma_accuracy_on_half_integers():
