@@ -23,7 +23,6 @@ from .field import (
     comparison_tol,
     degree_power,
     equal_magnitude,
-    magnitude_coeffs,
     random_field,
     sample_magnitude,
     trivially_equivalent,
@@ -314,7 +313,8 @@ def main(argv=None) -> int:
     except (BranchNotApplicableError, ExtractionRankError, NonZonalDataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BRANCH
-    except (FileNotFoundError, ValueError) as e:  # FileFormatError is a ValueError
+    # FileFormatError is a ValueError; ConvergenceError is a series out of budget
+    except (FileNotFoundError, ValueError, specfun.ConvergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

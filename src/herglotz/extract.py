@@ -36,7 +36,7 @@ from mpmath.libmp import from_int, mpf_div, mpf_shift, round_nearest, to_fixed
 
 from .field import MagnitudeData, MagnitudeGrid, check_degree, nu_order
 from .harmonics import _polar_rule
-from .specfun import bessel_j, bessel_j_mp, gegenbauer
+from .specfun import bessel_j_mp, bessel_row, gegenbauer
 
 WORK_DPS = 50
 # fraction bits beyond mp.prec carried by the fixed-point least-squares solve
@@ -327,8 +327,8 @@ def _lstsq_unmix(profile, pairs, d):
 
 def _f64_columns(pairs, radii, d):
     """Column functions 2 pi r^{-(d-2)} J_{nu(m)} J_{nu(n)} at the radii, from the
-    double Bessel values, as a (radius, pair) array."""
-    jrow = {m: bessel_j(nu_order(m, d), radii) for m in sorted({m for p in pairs for m in p})}
+    shared double Bessel rows, as a (radius, pair) array."""
+    jrow = {m: bessel_row(nu_order(m, d), radii) for m in sorted({m for p in pairs for m in p})}
     pref = 2 * np.pi / radii ** (d - 2)
     return np.column_stack([pref * jrow[m] * jrow[n] for m, n in pairs])
 

@@ -21,7 +21,7 @@ from mpmath import mp, mpc, mpf
 
 from . import harmonics
 from .harmonics import BasisSpec, SphereGrid, harmonic_dim, sphere_grid, surface_measure
-from .specfun import bessel_j, bessel_j_mp
+from .specfun import bessel_j, bessel_j_mp, bessel_row
 
 WORKING_RADIUS = 1.0
 COEFF_TOL = 1e-9  # exact-coefficient comparisons
@@ -165,7 +165,7 @@ def eval_field_grid(u: HerglotzField, radii, theta) -> np.ndarray:
         fm = u.basis.values(m, theta) @ vec  # (ntheta,)
         radial = np.zeros(len(radii))
         if np.any(pos):
-            radial[pos] = rp ** (-(d - 2) / 2.0) * bessel_j(nu_order(m, d), rp)
+            radial[pos] = rp ** (-(d - 2) / 2.0) * bessel_row(nu_order(m, d), rp)
         if np.any(~pos):
             radial[~pos] = _radial_limit0(d) if m == 0 else 0.0
         out += pref * radial[:, None] * fm[None, :]

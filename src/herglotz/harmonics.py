@@ -31,6 +31,7 @@ POLE_MAX_ATTEMPTS = 60
 RANK_TOL = 1e-10  # see gram_rank
 _GRID_CACHE_SIZE = 64  # sphere grids kept by sphere_grid, factor grids included
 _VALUE_TABLE_SIZE = 64  # (degree, node array) entries kept per basis; a field needs ~13
+_DEGREE_TABLE_SIZE = 64  # (d, m) pole tables and p_alpha tuples kept per process
 
 
 def surface_measure(d: int) -> float:
@@ -151,6 +152,7 @@ def _polar_rule(d: int, count: int):
 def _read_only(*arrays):
     for a in arrays:
         a.flags.writeable = False
+    return arrays[0]
 
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
@@ -213,8 +215,10 @@ def _candidate_poles(d: int, m: int, attempt: int) -> np.ndarray:
     return pts
 
 
+@lru_cache(maxsize=_DEGREE_TABLE_SIZE)
 def default_poles(d: int, m: int) -> np.ndarray:
-    """Deterministic pole table zeta_m^j for the degree-m zonal basis.
+    """Deterministic pole table zeta_m^j for the degree-m zonal basis, computed
+    once per (d, m) and shared: the table is read-only.
 
     Seeded unit vectors with zeta_m^1 = e_d; up to POLE_MAX_ATTEMPTS candidates
     are generated until both the basis functions and their squares pass a
@@ -223,7 +227,7 @@ def default_poles(d: int, m: int) -> np.ndarray:
     """
     n = harmonic_dim(d, m)
     if m == 0 or n == 1:
-        return np.eye(d)[d - 1][None, :]
+        return _read_only(np.eye(d)[d - 1][None, :])
     # The squares have degree 2m, so their Gram matrix needs a rule exact to
     # degree 4m; sphere_grid(d, n) is exact to polar and azimuthal degree
     # 2n - 1 (the polar rule sits in the last coordinate).
@@ -231,14 +235,12 @@ def default_poles(d: int, m: int) -> np.ndarray:
     best = None
     for attempt in range(POLE_MAX_ATTEMPTS):
         pts = _candidate_poles(d, m, attempt)
-        vals = np.stack(
-            [gegenbauer(m, d / 2 - 1, grid.nodes @ z) for z in pts], axis=1
-        )
+        vals = gegenbauer(m, d / 2 - 1, np.stack([grid.nodes @ z for z in pts], axis=1))
         r1, s1 = gram_rank([vals[:, j] for j in range(n)], grid)
         r2, s2 = gram_rank([vals[:, j] ** 2 for j in range(n)], grid)
         score = min(s1, s2)
         if r1 == n and r2 == n and score > POLE_MIN_SV:
-            return pts
+            return _read_only(pts)
         if best is None or score > best[0]:
             best = (score, pts, r1, r2)
     score, pts, r1, r2 = best
@@ -246,7 +248,13 @@ def default_poles(d: int, m: int) -> np.ndarray:
         raise RuntimeError(
             f"could not generate an independent pole system for d={d}, m={m}"
         )
-    return pts
+    return _read_only(pts)
+
+
+@lru_cache(maxsize=_DEGREE_TABLE_SIZE)
+def _palpha_table(d: int, m: int) -> tuple:
+    """The p_alpha polynomials of degree m, built once per (d, m) and shared."""
+    return tuple(p_alpha(a, d) for a in degree_multi_indices(d, m))
 
 
 # --------------------------------------------------------------------------
@@ -266,17 +274,18 @@ NORMALIZATIONS = (RAW, ORTHONORMAL)
 class BasisSpec:
     """Which spherical-harmonic basis is in force.
 
-    poles maps degree -> (N(m), d) array for the zonal family. Caches for
-    p-basis polynomials, orthonormalization transforms and raw values on node
-    arrays (see _raw_values) are built lazily, only read afterwards, and belong
-    to this basis alone.
+    poles maps degree -> (N(m), d) array for the zonal family; a degree it
+    lacks reads default_poles. The default pole tables and the p_alpha
+    polynomials are built once per process and shared by every basis. The
+    orthonormalization transforms and the raw values on node arrays (see
+    _raw_values) are built lazily, only read afterwards, and belong to this
+    basis alone. No table is locked: parallelize across processes, not threads.
     """
 
     kind: str
     dim: int
     normalization: str = RAW
     poles: dict = field(default_factory=dict)
-    _palpha_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _ortho_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _value_table: OrderedDict = field(
         default_factory=OrderedDict, init=False, repr=False, compare=False
@@ -309,12 +318,8 @@ class BasisSpec:
             self.poles[m] = default_poles(self.dim, m)
         return self.poles[m]
 
-    def palpha_for(self, m: int):
-        if m not in self._palpha_cache:
-            self._palpha_cache[m] = [
-                p_alpha(a, self.dim) for a in degree_multi_indices(self.dim, m)
-            ]
-        return self._palpha_cache[m]
+    def palpha_for(self, m: int) -> tuple:
+        return _palpha_table(self.dim, m)
 
     def _raw_values(self, m: int, theta: np.ndarray) -> np.ndarray:
         """Raw degree-m values at float points theta (n, d) -> (n, N(m)).
@@ -344,9 +349,8 @@ class BasisSpec:
                 return np.ones((len(theta), 1), dtype=complex)
             return np.stack([np.exp(1j * m * ang), np.exp(-1j * m * ang)], axis=1)
         if self.kind == ZONAL:
-            table = self.poles_for(m)
-            lam = self.dim / 2 - 1
-            return np.stack([gegenbauer(m, lam, theta @ z) for z in table], axis=1)
+            z = np.stack([theta @ pole for pole in self.poles_for(m)], axis=1)
+            return gegenbauer(m, self.dim / 2 - 1, z)
         return np.stack([p.evaluate(theta) for p in self.palpha_for(m)], axis=1)
 
     def ortho_transform(self, m: int) -> np.ndarray:

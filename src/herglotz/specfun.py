@@ -7,6 +7,10 @@ All evaluations use the power series in the standard normalization
 
 with negative integer orders handled through J_{-n} = (-1)^n J_n.
 
+bessel_row tables the double rows J_nu on an array of radii, and leggauss the
+Gauss-Legendre rules, once per process: the tables are shared, read-only and
+kept without locks, so parallelize across processes, not threads.
+
 bessel_j_mp, the arbitrary-precision series behind the extraction solvers and
 high-precision sampling, runs on raw libmp tuples with exactly the roundings
 of the mpf operators (round-to-nearest at mp.prec), so its values are those of
@@ -67,6 +71,9 @@ class SeriesBudget:
 
 
 DEFAULT_BUDGET = SeriesBudget()
+# largest absolute rounding error, eps times the largest term, that bessel_j accepts
+CANCEL_LIMIT = 1e-6
+_ROW_TABLE_SIZE = 256  # (order, radii) rows kept by bessel_row
 
 
 class ConvergenceError(RuntimeError):
@@ -84,7 +91,8 @@ class ConvergenceError(RuntimeError):
 def _series_sum(t0, ratio, budget):
     """Sum t0 * prod(ratio) with the stop rule: once terms decrease, stop when the
     next term is below rel_tol times the running sum (or has fallen to the
-    roundoff floor of the largest term seen).
+    roundoff floor of the largest term seen). Returns the sum as float and the
+    modulus of the largest term, pointwise.
 
     Partial sums are accumulated in the dtype of t0; callers that need to beat
     the cancellation of the alternating series (terms grow to ~1e6 times the
@@ -106,7 +114,7 @@ def _series_sum(t0, ratio, budget):
             (absn <= budget.rel_tol * np.abs(total)) | (absn <= floor * peak)
         )
         if np.all(done):
-            return total.astype(float), k + 2
+            return total.astype(float), peak
     raise ConvergenceError(
         f"series did not converge within {budget.max_terms} terms",
         partial=float(total) if total.ndim == 0 else total.astype(float),
@@ -124,7 +132,10 @@ def bessel_j(nu, r, budget: SeriesBudget = DEFAULT_BUDGET):
     budget : series truncation control
 
     Returns a float (scalar input) or ndarray, with relative error at the
-    level of ``budget.rel_tol`` against the converged series.
+    level of ``budget.rel_tol`` against the converged series. The alternating
+    series cancels: its absolute error is about machine eps times its largest
+    term, so a radius where that product exceeds CANCEL_LIMIT (r > 26.65 for
+    nu = 0, r > 30.8 for nu = 16) raises ValueError.
     """
     nu = validate_order(nu)
     if nu < 0:
@@ -134,13 +145,38 @@ def bessel_j(nu, r, budget: SeriesBudget = DEFAULT_BUDGET):
     if np.any(r_arr < 0):
         raise ValueError("r must be nonnegative")
     half = r_arr / 2.0
-    with np.errstate(divide="ignore"):
+    # terms that overflow never meet the stop rule: ConvergenceError, not a warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t0 = half**nu / math.gamma(nu + 1.0)
-    h2 = half * half
-    total, _ = _series_sum(t0, lambda k: -h2 / ((k + 1.0) * (nu + k + 1.0)), budget)
+        h2 = half * half
+        total, peak = _series_sum(t0, lambda k: -h2 / ((k + 1.0) * (nu + k + 1.0)), budget)
+    worst = np.argmax(peak)
+    if np.finfo(float).eps * peak.flat[worst] > CANCEL_LIMIT:
+        raise ValueError(
+            f"J_{nu:g}({r_arr.flat[worst]:g}) is out of range of the double series: its "
+            f"largest term {peak.flat[worst]:.3e} times machine eps exceeds {CANCEL_LIMIT:g}"
+        )
     if np.isscalar(r) or np.ndim(r) == 0:
         return float(total)
     return total
+
+
+@lru_cache(maxsize=_ROW_TABLE_SIZE)
+def _bessel_row(nu: float, radii: bytes) -> np.ndarray:
+    row = bessel_j(nu, np.frombuffer(radii))
+    row.flags.writeable = False
+    return row
+
+
+def bessel_row(nu, radii) -> np.ndarray:
+    """bessel_j(nu, radii) for a 1-d array of two or more radii, evaluated once
+    per (order, radii) and shared: the row is read-only, and the process keeps
+    the _ROW_TABLE_SIZE most recently used ones. Fewer radii are evaluated
+    afresh."""
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or len(radii) < 2:
+        return bessel_j(nu, radii)
+    return _bessel_row(float(nu), radii.tobytes())
 
 
 def bessel_bound(nu, r) -> float:

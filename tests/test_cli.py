@@ -353,6 +353,42 @@ def test_specfun_subcommand(tmp_path, capsys):
     for argv, value in _SPECFUN_CALLS:
         assert run(["specfun"] + argv) == 0
         assert capsys.readouterr().out == f"value={format(value(), '.17g')}\n"
+    # a cancelled series (J_0(40) = 0.0074) and one that does not converge
+    # are refused in one line, not printed or raised as a traceback
+    for r, message in [("40", "J_0(40) is out of range of the double series: its "
+                              "largest term 1.858e+15 times machine eps exceeds 1e-06"),
+                       ("3000", "series did not converge within 256 terms")]:
+        assert run(["specfun", "bessel-j", "--nu", "0", "--r", r]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+_PIPELINES = {
+    "d2": (["--dim", "2", "--max-degree", "3", "--seed", "4"], []),
+    "d3": (["--dim", "3", "--zonal", "--max-degree", "3", "--seed", "5"], ["--radial-nodes", "32"]),
+    "d4": (["--dim", "4", "--zonal", "--max-degree", "2", "--seed", "6"], ["--radial-nodes", "24"]),
+}
+
+
+def test_warm_tables_write_the_bytes_of_cold_ones(tmp_path, capsys, monkeypatch, cold_tables):
+    # the cold pass starts from empty process tables (pole tables, p_alpha
+    # polynomials, Bessel rows); the warm pass reads what the cold one left, in
+    # the other order. Each dimension has its own poles and each stage its own
+    # radii (verify takes 16), so a table key that ignored either would show.
+    def pipeline(where, gen, sample):
+        where.mkdir()
+        monkeypatch.chdir(where)  # the reports name the files
+        assert run(["gen", *gen, "--out", "u.field"]) == 0
+        assert run(["sample", "u.field", *sample, "--out", "u.grid"]) == 0
+        assert run(["extract", "u.grid", "--out", "u.data"]) == 0
+        assert run(["retrieve", "u.data", "--out", "v.field"]) == 0
+        assert run(["verify", "u.field", "v.field"]) == 0
+        names = ("u.field", "u.grid", "u.data", "v.field")
+        return [(where / n).read_bytes() for n in names] + [capsys.readouterr()]
+
+    cold = {k: pipeline(tmp_path / f"cold-{k}", *v) for k, v in _PIPELINES.items()}
+    for k, v in reversed(_PIPELINES.items()):
+        assert pipeline(tmp_path / f"warm-{k}", *v) == cold[k], k
 
 
 def test_usage_error_exit_code():

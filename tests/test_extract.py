@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from herglotz import extract
+from herglotz import extract, specfun
 from herglotz.extract import (
     CONDITION_WARN,
     WORK_DPS,
@@ -442,6 +442,23 @@ def test_default_extraction_of_double_grids_runs_in_float64(monkeypatch):
         assert data.max_degree == M
         assert {rep.method for rep in reports} == {"float64"}
     assert calls == []
+
+
+def test_extraction_evaluates_each_bessel_row_once(monkeypatch, cold_tables):
+    # the degree estimate unmixes all 13 profiles at each candidate degree and
+    # the extraction once more, but each order's row on the radii is evaluated
+    # once, and sampling on the same radii reads the same rows
+    u = random_field(2, 5, F2, 500)
+    radii = radial_grid(48)
+    grid = sample_magnitude(u, radii, 25)
+    specfun._bessel_row.cache_clear()
+    calls = []
+    monkeypatch.setattr(specfun, "bessel_j", lambda nu, r: calls.append(nu) or bessel_j(nu, r))
+    data, _ = extract_magnitude_data(grid, 2)
+    assert data.max_degree == 5
+    assert calls == [0, 1, 2, 3, 4, 5]
+    again = sample_magnitude(u, radii, 25)
+    assert np.array_equal(again.values, grid.values) and len(calls) == 6
 
 
 def test_default_extraction_of_mp_grids_stays_at_50_digits():

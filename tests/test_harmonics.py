@@ -4,10 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from herglotz import specfun
+from herglotz import harmonics, specfun
 from herglotz.harmonics import (
     _VALUE_TABLE_SIZE,
+    POLE_MAX_ATTEMPTS,
+    POLE_MIN_SV,
     BasisSpec,
+    _candidate_poles,
     _polar_rule,
     basis_eval,
     default_poles,
@@ -249,6 +252,46 @@ def test_basis_values_are_evaluated_once_per_basis_and_node_array(monkeypatch):
     assert calls == [2, 2, 2, 2] and len(spec._value_table) == 1
 
 
+def _per_pole_default_poles(d, m):
+    # default_poles as one Gegenbauer recurrence per candidate pole
+    n = harmonic_dim(d, m)
+    if m == 0 or n == 1:
+        return np.eye(d)[d - 1][None, :]
+    grid = sphere_grid(d, 2 * m + 1)
+    best = None
+    for attempt in range(POLE_MAX_ATTEMPTS):
+        pts = _candidate_poles(d, m, attempt)
+        cols = [gegenbauer(m, d / 2 - 1, grid.nodes @ z) for z in pts]
+        r1, s1 = gram_rank(cols, grid)
+        r2, s2 = gram_rank([c**2 for c in cols], grid)
+        if r1 == n and r2 == n and min(s1, s2) > POLE_MIN_SV:
+            return pts
+        if best is None or min(s1, s2) > best[0]:
+            best = (min(s1, s2), pts)
+    return best[1]
+
+
+@pytest.mark.parametrize("d, m", [(3, m) for m in range(11)] + [(4, m) for m in range(7)])
+def test_one_recurrence_per_degree_matches_a_per_pole_loop(d, m):
+    poles = default_poles(d, m)
+    assert np.array_equal(poles, _per_pole_default_poles(d, m))
+    nodes = sphere_grid(d, 2 * m + 3).nodes
+    for theta in (nodes, nodes[3:4]):
+        per_pole = np.stack([gegenbauer(m, d / 2 - 1, theta @ z) for z in poles], axis=1)
+        assert np.array_equal(BasisSpec("zonal", d).values(m, theta), per_pole)
+
+
+def test_p_alpha_polynomials_are_built_once_per_process(monkeypatch, cold_tables):
+    calls = []
+    monkeypatch.setattr(harmonics, "p_alpha", lambda a, d: calls.append(a) or p_alpha(a, d))
+    first, second = BasisSpec("palpha", 3), BasisSpec("palpha", 3)
+    assert first.palpha_for(3) is second.palpha_for(3)
+    assert calls == degree_multi_indices(3, 3)
+    # a basis of another dimension has its own
+    assert BasisSpec("palpha", 4).palpha_for(3) is not first.palpha_for(3)
+    assert len(calls) == harmonic_dim(3, 3) + harmonic_dim(4, 3)
+
+
 def test_basis_value_table_keeps_its_bound():
     spec = BasisSpec("palpha", 3)
     pts = sphere_grid(3, 12).nodes
@@ -337,6 +380,10 @@ def test_default_poles_deterministic():
     a = default_poles(3, 4)
     b = default_poles(3, 4)
     assert np.array_equal(a, b)
+    # built once per process and shared, so no caller may write to it
+    assert a is b
+    with pytest.raises(ValueError):
+        a[0, 0] = 0.0
     assert np.allclose(a[0], [0.0, 0.0, 1.0])
     assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
 

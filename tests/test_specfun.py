@@ -12,10 +12,13 @@ from herglotz.extract import extract_magnitude_data, radial_grid
 from herglotz.field import random_field, sample_magnitude
 from herglotz.harmonics import fourier2d_basis
 from herglotz.specfun import (
+    _ROW_TABLE_SIZE,
+    CANCEL_LIMIT,
     ConvergenceError,
     SeriesBudget,
     bessel_bound,
     bessel_j,
+    bessel_row,
     bessel_j_mp,
     bessel_product_integral,
     bessel_product_series,
@@ -83,6 +86,57 @@ def test_bessel_array_input():
     assert vals.shape == (3,)
     assert vals[0] == 0.0
     assert vals[2] == pytest.approx(bessel_j(2, 2.0))
+
+
+def test_bessel_j_refuses_a_cancelled_sum():
+    # machine eps times the largest term of the nu = 0 series passes
+    # CANCEL_LIMIT at r = 26.65; J_0(26.5) = 0.129877626 errs by 1.4e-6
+    assert abs(bessel_j(0, 26.5) - 0.129877626) < 1e-5
+    for nu, r in [(0, 27.0), (0, 40.0), (16, 40.0), (2.5, 300.0)]:
+        with pytest.raises(ValueError, match=rf"J_{nu:g}\({r:g}\) is out of range") as exc:
+            bessel_j(nu, r)
+        term = float(str(exc.value).split("largest term ")[1].split()[0])
+        assert np.finfo(float).eps * term > CANCEL_LIMIT
+    # an array names its worst radius; a negative order is refused as its reflection
+    with pytest.raises(ValueError, match=r"J_0\(40\)"):
+        bessel_j(0, np.array([1.0, 40.0, 30.0]))
+    with pytest.raises(ValueError, match=r"J_3\(30\)"):
+        bessel_j(-3, 30.0)
+    # far out the series overflows and runs out of budget, without a warning
+    with pytest.raises(ConvergenceError):
+        bessel_j(0, 3000.0)
+    # every radius up to 12 stands, at every order up to 20
+    for nu in [n / 2 for n in range(0, 41)]:
+        bessel_j(nu, np.linspace(0.0, 12.0, 49))
+
+
+def test_bessel_rows_are_evaluated_once_and_shared(monkeypatch, cold_tables):
+    calls = []
+    monkeypatch.setattr(specfun, "bessel_j", lambda nu, r: calls.append(nu) or bessel_j(nu, r))
+    radii = radial_grid(48)
+    row = bessel_row(1.5, radii)
+    # keyed on the radii's values, not on the array object
+    assert bessel_row(1.5, radii.copy()) is row and bessel_row(3 / 2, list(radii)) is row
+    assert calls == [1.5]
+    assert np.array_equal(row, bessel_j(1.5, radii))
+    with pytest.raises(ValueError):
+        row[0] = 0.0
+    # another order, or other radii, make a row of their own
+    assert not np.array_equal(bessel_row(0.5, radii), row)
+    assert np.array_equal(bessel_row(1.5, radii[1:]), row[1:])
+    assert len(calls) == 3
+    # a scalar or a single radius is evaluated afresh and not tabled
+    assert bessel_row(1.5, 0.5) == bessel_j(1.5, 0.5)
+    bessel_row(1.5, [0.5])
+    bessel_row(1.5, [0.5])
+    assert len(calls) == 6 and specfun._bessel_row.cache_info().currsize == 3
+
+
+def test_bessel_row_table_keeps_its_bound(cold_tables):
+    radii = radial_grid(8)
+    for k in range(_ROW_TABLE_SIZE + 10):
+        bessel_row(k % 3, radii * (1 + k / 1000))
+    assert specfun._bessel_row.cache_info().currsize == _ROW_TABLE_SIZE
 
 
 def test_bound_values():
