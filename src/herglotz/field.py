@@ -21,7 +21,7 @@ from mpmath import mp, mpc, mpf
 
 from . import harmonics
 from .harmonics import BasisSpec, SphereGrid, harmonic_dim, sphere_grid, surface_measure
-from .specfun import bessel_j, bessel_j_mp, bessel_row
+from .specfun import _read_only, bessel_j, bessel_j_mp, bessel_row
 
 WORKING_RADIUS = 1.0
 COEFF_TOL = 1e-9  # exact-coefficient comparisons
@@ -127,9 +127,8 @@ def _require_same_basis(u, v):
         raise ValueError("fields use different bases")
     if bu.kind == harmonics.ZONAL:
         for m in range(min(u.max_degree, v.max_degree) + 1):
-            if m in bu.poles and m in bv.poles:
-                if not np.allclose(bu.poles[m], bv.poles[m], atol=1e-12):
-                    raise ValueError("zonal pole tables differ")
+            if not np.allclose(bu.poles_for(m), bv.poles_for(m), atol=1e-12):
+                raise ValueError("zonal pole tables differ")
 
 
 # --------------------------------------------------------------------------
@@ -231,8 +230,7 @@ class MagnitudeData:
         table = np.array(self.table, dtype=complex if self.dim == 2 else float)
         lower = np.tril_indices(len(table), -1)
         table[lower] = table[lower[::-1]]
-        table.flags.writeable = False
-        self.table = table
+        self.table = _read_only(table)
         self._samples = self._synthesize() if self.dim == 2 else table
 
     def _synthesize(self) -> np.ndarray:
@@ -249,9 +247,7 @@ class MagnitudeData:
             k = q + 2 * M
             coef = np.take_along_axis(self.table, k[..., None], axis=2)[..., 0]
             vals += np.where(once, coef, 0)[..., None] * waves[k]
-        samples = vals.real
-        samples.flags.writeable = False
-        return samples
+        return _read_only(vals.real)
 
     @property
     def max_degree(self) -> int:

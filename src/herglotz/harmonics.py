@@ -15,7 +15,6 @@ Plus quadrature grids on the sphere and numerical Gram-rank tests.
 
 import itertools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
@@ -23,15 +22,13 @@ from fractions import Fraction
 import numpy as np
 
 from .poly import Polynomial
-from .specfun import gegenbauer, leggauss
+from .specfun import _read_only, gegenbauer, leggauss
 
 SURFACE_TOL = 1e-12
 POLE_MIN_SV = 1e-3  # see default_poles
 POLE_MAX_ATTEMPTS = 60
 RANK_TOL = 1e-10  # see gram_rank
-_GRID_CACHE_SIZE = 64  # sphere grids kept by sphere_grid, factor grids included
-_VALUE_TABLE_SIZE = 64  # (degree, node array) entries kept per basis; a field needs ~13
-_DEGREE_TABLE_SIZE = 64  # (d, m) pole tables and p_alpha tuples kept per process
+_TABLE_SIZE = 64  # entries kept by each lru_cache table below; a field reads ~13 value entries
 
 
 def surface_measure(d: int) -> float:
@@ -149,13 +146,7 @@ def _polar_rule(d: int, count: int):
     raise ValueError(f"unsupported dimension {d} (polar rules exist for d in {{3, 4}})")
 
 
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays[0]
-
-
-@lru_cache(maxsize=_GRID_CACHE_SIZE)
+@lru_cache(maxsize=_TABLE_SIZE)
 def sphere_grid(d: int, resolution: int) -> SphereGrid:
     """Quadrature grid on S^{d-1}, built once per (d, resolution) and shared:
     its arrays are read-only.
@@ -215,7 +206,7 @@ def _candidate_poles(d: int, m: int, attempt: int) -> np.ndarray:
     return pts
 
 
-@lru_cache(maxsize=_DEGREE_TABLE_SIZE)
+@lru_cache(maxsize=_TABLE_SIZE)
 def default_poles(d: int, m: int) -> np.ndarray:
     """Deterministic pole table zeta_m^j for the degree-m zonal basis, computed
     once per (d, m) and shared: the table is read-only.
@@ -251,7 +242,7 @@ def default_poles(d: int, m: int) -> np.ndarray:
     return _read_only(pts)
 
 
-@lru_cache(maxsize=_DEGREE_TABLE_SIZE)
+@lru_cache(maxsize=_TABLE_SIZE)
 def _palpha_table(d: int, m: int) -> tuple:
     """The p_alpha polynomials of degree m, built once per (d, m) and shared."""
     return tuple(p_alpha(a, d) for a in degree_multi_indices(d, m))
@@ -270,26 +261,46 @@ KINDS = (FOURIER2D, ZONAL, PALPHA)
 NORMALIZATIONS = (RAW, ORTHONORMAL)
 
 
+def _evaluate(kind: str, dim: int, m: int, poles, theta: np.ndarray) -> np.ndarray:
+    """Values of the raw degree-m functions at points theta (n, d) -> (n, N(m));
+    poles is the degree's pole table for the zonal family, else None."""
+    if kind == FOURIER2D:
+        ang = np.arctan2(theta[:, 1], theta[:, 0])
+        if m == 0:
+            return np.ones((len(theta), 1), dtype=complex)
+        return np.stack([np.exp(1j * m * ang), np.exp(-1j * m * ang)], axis=1)
+    if kind == ZONAL:
+        z = np.stack([theta @ pole for pole in poles], axis=1)
+        return gegenbauer(m, dim / 2 - 1, z)
+    return np.stack([p.evaluate(theta) for p in _palpha_table(dim, m)], axis=1)
+
+
+@lru_cache(maxsize=_TABLE_SIZE)
+def _value_table(kind: str, dim: int, m: int, poles: bytes | None, shape: tuple,
+                 nodes: bytes) -> np.ndarray:
+    """_evaluate on the pole table and node array given by their bytes, once
+    per key and shared: the values are read-only."""
+    if poles is not None:
+        poles = np.frombuffer(poles).reshape(-1, dim)
+    return _read_only(_evaluate(kind, dim, m, poles, np.frombuffer(nodes).reshape(shape)))
+
+
 @dataclass
 class BasisSpec:
     """Which spherical-harmonic basis is in force.
 
     poles maps degree -> (N(m), d) array for the zonal family; a degree it
-    lacks reads default_poles. The default pole tables and the p_alpha
-    polynomials are built once per process and shared by every basis. The
-    orthonormalization transforms and the raw values on node arrays (see
-    _raw_values) are built lazily, only read afterwards, and belong to this
-    basis alone. No table is locked: parallelize across processes, not threads.
+    lacks is filled from default_poles when first asked for. A basis keeps no
+    other state: the default pole tables, the p_alpha polynomials and the raw
+    values on node arrays (see _raw_values) are built once per process and
+    shared by every basis. No table is locked: parallelize across processes,
+    not threads.
     """
 
     kind: str
     dim: int
     normalization: str = RAW
     poles: dict = field(default_factory=dict)
-    _ortho_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _value_table: OrderedDict = field(
-        default_factory=OrderedDict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -324,43 +335,21 @@ class BasisSpec:
     def _raw_values(self, m: int, theta: np.ndarray) -> np.ndarray:
         """Raw degree-m values at float points theta (n, d) -> (n, N(m)).
 
-        An array of two or more nodes is evaluated once: its read-only values
-        are kept in a table keyed on (m, shape, bytes), the _VALUE_TABLE_SIZE
-        most recently used entries. A single point is evaluated afresh.
+        An array of two or more nodes reads _value_table, keyed on the kind, d,
+        m, the degree's pole table and the nodes' shape and bytes: every basis
+        with the same functions shares one entry. A single point is evaluated afresh.
         """
+        poles = self.poles_for(m) if self.kind == ZONAL else None
         if len(theta) < 2:
-            return self._evaluate(m, theta)
-        key = (m, theta.shape, theta.tobytes())
-        table = self._value_table
-        if key in table:
-            table.move_to_end(key)
-            return table[key]
-        F = table[key] = self._evaluate(m, theta)
-        _read_only(F)
-        if len(table) > _VALUE_TABLE_SIZE:
-            table.popitem(last=False)
-        return F
-
-    def _evaluate(self, m: int, theta: np.ndarray) -> np.ndarray:
-        """Values of the raw degree-m functions at points theta (n, d) -> (n, N(m))."""
-        if self.kind == FOURIER2D:
-            ang = np.arctan2(theta[:, 1], theta[:, 0])
-            if m == 0:
-                return np.ones((len(theta), 1), dtype=complex)
-            return np.stack([np.exp(1j * m * ang), np.exp(-1j * m * ang)], axis=1)
-        if self.kind == ZONAL:
-            z = np.stack([theta @ pole for pole in self.poles_for(m)], axis=1)
-            return gegenbauer(m, self.dim / 2 - 1, z)
-        return np.stack([p.evaluate(theta) for p in self.palpha_for(m)], axis=1)
+            return _evaluate(self.kind, self.dim, m, poles, theta)
+        key = None if poles is None else poles.tobytes()
+        return _value_table(self.kind, self.dim, m, key, theta.shape, theta.tobytes())
 
     def ortho_transform(self, m: int) -> np.ndarray:
         """Matrix T with orthonormal functions E = raw @ T (identity for fourier2d)."""
         if self.kind == FOURIER2D:
             return np.eye(harmonic_dim(2, m))
-        if m not in self._ortho_cache:
-            L = np.linalg.cholesky(self._raw_gram(m))
-            self._ortho_cache[m] = np.linalg.inv(L).T
-        return self._ortho_cache[m]
+        return np.linalg.inv(np.linalg.cholesky(self._raw_gram(m))).T
 
     def _raw_gram(self, m: int) -> np.ndarray:
         """Quadrature Gram matrix of the raw degree-m functions."""

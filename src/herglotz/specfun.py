@@ -88,19 +88,28 @@ class ConvergenceError(RuntimeError):
         self.terms = terms
 
 
-def _series_sum(t0, ratio, budget):
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays[0]
+
+
+def _series_sum(t0, ratio, budget, name):
     """Sum t0 * prod(ratio) with the stop rule: once terms decrease, stop when the
     next term is below rel_tol times the running sum (or has fallen to the
-    roundoff floor of the largest term seen). Returns the sum as float and the
-    modulus of the largest term, pointwise.
+    roundoff floor of the largest term seen). Returns the sum as float,
+    pointwise.
 
     Partial sums are accumulated in the dtype of t0; callers that need to beat
     the cancellation of the alternating series (terms grow to ~1e6 times the
-    result near r = 10) pass extended-precision seeds.
+    result near r = 10) pass extended-precision seeds. Where that dtype's eps
+    times the largest term exceeds CANCEL_LIMIT, raises ValueError naming name(i)
+    for the worst flat index i.
     """
     total = np.array(t0, copy=True)
     term = np.array(t0, copy=True)
-    floor = 10.0 * float(np.finfo(total.dtype).eps)
+    eps = float(np.finfo(total.dtype).eps)
+    floor = 10.0 * eps
     peak = np.abs(term)
     decreasing = np.zeros_like(peak, dtype=bool)
     for k in range(budget.max_terms):
@@ -114,7 +123,14 @@ def _series_sum(t0, ratio, budget):
             (absn <= budget.rel_tol * np.abs(total)) | (absn <= floor * peak)
         )
         if np.all(done):
-            return total.astype(float), peak
+            i = np.argmax(peak)
+            if eps * peak.flat[i] > CANCEL_LIMIT:
+                precision = "double" if total.dtype == np.float64 else "long double"
+                raise ValueError(
+                    f"{name(i)} is out of range of the {precision} series: its largest term "
+                    f"{float(peak.flat[i]):.3e} times machine eps exceeds {CANCEL_LIMIT:g}"
+                )
+            return total.astype(float)
     raise ConvergenceError(
         f"series did not converge within {budget.max_terms} terms",
         partial=float(total) if total.ndim == 0 else total.astype(float),
@@ -149,13 +165,8 @@ def bessel_j(nu, r, budget: SeriesBudget = DEFAULT_BUDGET):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t0 = half**nu / math.gamma(nu + 1.0)
         h2 = half * half
-        total, peak = _series_sum(t0, lambda k: -h2 / ((k + 1.0) * (nu + k + 1.0)), budget)
-    worst = np.argmax(peak)
-    if np.finfo(float).eps * peak.flat[worst] > CANCEL_LIMIT:
-        raise ValueError(
-            f"J_{nu:g}({r_arr.flat[worst]:g}) is out of range of the double series: its "
-            f"largest term {peak.flat[worst]:.3e} times machine eps exceeds {CANCEL_LIMIT:g}"
-        )
+        total = _series_sum(t0, lambda k: -h2 / ((k + 1.0) * (nu + k + 1.0)), budget,
+                            lambda i: f"J_{nu:g}({r_arr.flat[i]:g})")
     if np.isscalar(r) or np.ndim(r) == 0:
         return float(total)
     return total
@@ -163,9 +174,7 @@ def bessel_j(nu, r, budget: SeriesBudget = DEFAULT_BUDGET):
 
 @lru_cache(maxsize=_ROW_TABLE_SIZE)
 def _bessel_row(nu: float, radii: bytes) -> np.ndarray:
-    row = bessel_j(nu, np.frombuffer(radii))
-    row.flags.writeable = False
-    return row
+    return _read_only(bessel_j(nu, np.frombuffer(radii)))
 
 
 def bessel_row(nu, radii) -> np.ndarray:
@@ -231,7 +240,10 @@ def bessel_product_series(n: int, m: int, alpha, r, budget: SeriesBudget = DEFAU
     """Product J_{n+alpha}(r) * J_{m+alpha}(r) via the single power series
 
         (r/2)^(n+m+2a) sum_k (-1)^k Gamma(n+m+2a+2k+1) (r/2)^(2k)
-                       / (k! Gamma(n+a+k+1) Gamma(m+a+k+1) Gamma(n+m+2a+k+1)).
+                       / (k! Gamma(n+a+k+1) Gamma(m+a+k+1) Gamma(n+m+2a+k+1)),
+
+    summed in np.longdouble and refused like bessel_j's: for n = m = alpha = 0,
+    beyond r = 18.31 (x87 long double) or r = 14.31 (where it is plain double).
     """
     if n < 0 or m < 0:
         raise ValueError("degrees must be nonnegative")
@@ -253,7 +265,8 @@ def bessel_product_series(n: int, m: int, alpha, r, budget: SeriesBudget = DEFAU
             (k + 1.0) * (nu1 + k + 1.0) * (nu2 + k + 1.0) * (s + k + 1.0)
         )
 
-    total, _ = _series_sum(t0, ratio, budget)
+    total = _series_sum(t0, ratio, budget,
+                        lambda i: f"J_{nu1:g}({r_arr.flat[i]:g}) J_{nu2:g}({r_arr.flat[i]:g})")
     if np.ndim(r) == 0:
         return float(total)
     return total
@@ -263,7 +276,7 @@ def bessel_product_series(n: int, m: int, alpha, r, budget: SeriesBudget = DEFAU
 def leggauss(n: int):
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per n; read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = w.flags.writeable = False
+    _read_only(x, w)
     return x, w
 
 

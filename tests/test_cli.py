@@ -361,6 +361,11 @@ def test_specfun_subcommand(tmp_path, capsys):
         assert run(["specfun", "bessel-j", "--nu", "0", "--r", r]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
+    # the product series cancels too (it printed J_0(30)^2 as -9089.4)
+    assert run(["specfun", "product-series", "--n", "0", "--m", "0", "--r", "30"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: J_0(30) J_0(30) is out of range")
+    assert captured.err.count("\n") == 1
 
 
 _PIPELINES = {
@@ -371,10 +376,11 @@ _PIPELINES = {
 
 
 def test_warm_tables_write_the_bytes_of_cold_ones(tmp_path, capsys, monkeypatch, cold_tables):
-    # the cold pass starts from empty process tables (pole tables, p_alpha
-    # polynomials, Bessel rows); the warm pass reads what the cold one left, in
-    # the other order. Each dimension has its own poles and each stage its own
-    # radii (verify takes 16), so a table key that ignored either would show.
+    # the cold pass starts from empty process tables (grids, basis values, pole
+    # tables, p_alpha polynomials, Bessel rows); the warm pass reads what the
+    # cold one left, in the other order. Each dimension has its own poles and
+    # each stage its own radii (verify takes 16), so a table key that ignored
+    # either would show.
     def pipeline(where, gen, sample):
         where.mkdir()
         monkeypatch.chdir(where)  # the reports name the files

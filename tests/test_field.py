@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpc
 
+from herglotz import harmonics
 from herglotz.extract import angular_decompose, radial_grid
 from herglotz.field import (
     HerglotzField,
@@ -21,7 +22,7 @@ from herglotz.field import (
     sample_magnitude,
     trivially_equivalent,
 )
-from herglotz.harmonics import _VALUE_TABLE_SIZE, BasisSpec, fourier2d_basis, sphere_grid
+from herglotz.harmonics import _TABLE_SIZE, BasisSpec, fourier2d_basis, sphere_grid
 from herglotz.specfun import bessel_j
 
 F2 = fourier2d_basis()
@@ -72,15 +73,16 @@ def test_eval_continuity_at_zero():
     assert devs[2] < 1e-5
 
 
-def test_point_wise_evaluation_leaves_the_value_table_bounded():
+def test_point_wise_evaluation_leaves_the_value_table_bounded(cold_tables):
     u = random_field(3, 1, BasisSpec("zonal", 3), seed=5)
     data = magnitude_coeffs(u)
-    table = u.basis._value_table
-    assert len(table) == u.max_degree + 1  # one entry per degree on the data grid
+    table = harmonics._value_table.cache_info
+    assert table().currsize == u.max_degree + 1  # one entry per degree on the data grid
+    before = table()
     pts = np.random.default_rng(0).standard_normal((10_000, 3))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
     vals = [eval_field(u, 0.5, p) for p in pts]
-    assert len(table) == u.max_degree + 1 <= _VALUE_TABLE_SIZE
+    assert table() == before and before.currsize <= _TABLE_SIZE
     assert vals[0] == eval_field_grid(u, [0.5], pts[:2])[0, 0]
     assert np.array_equal(magnitude_coeffs(u).table, data.table)
 
@@ -223,6 +225,20 @@ def test_trivially_equivalent_verdicts():
     # a real field is trivially equivalent to its conjugate in both ways
     ur = random_field(2, 3, F2, seed=13, real=True)
     assert trivially_equivalent(ur, conjugate_field(ur)).verdict == "Both"
+
+
+def test_pole_table_check_does_not_depend_on_call_order():
+    # the same coefficients in the default basis and in one whose degree-2
+    # poles run in reverse: different fields, whether or not the default
+    # basis has read its degree-2 table yet
+    reversed_poles = {2: harmonics.default_poles(3, 2)[::-1].copy()}
+    u = random_field(3, 2, BasisSpec("zonal", 3, poles=reversed_poles), seed=9)
+    for warm in (False, True):
+        v = HerglotzField(3, 2, BasisSpec("zonal", 3), [c.copy() for c in u.coeffs])
+        if warm:
+            v.basis.poles_for(2)
+        with pytest.raises(ValueError, match="zonal pole tables differ"):
+            trivially_equivalent(u, v)
 
 
 def test_degree_power_values():

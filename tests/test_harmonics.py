@@ -6,7 +6,7 @@ import pytest
 
 from herglotz import harmonics, specfun
 from herglotz.harmonics import (
-    _VALUE_TABLE_SIZE,
+    _TABLE_SIZE,
     POLE_MAX_ATTEMPTS,
     POLE_MIN_SV,
     BasisSpec,
@@ -222,15 +222,15 @@ def test_polar_rule_reads_the_one_gauss_legendre_rule():
     assert t is sphere_grid(3, 9).polar_t
 
 
-def test_basis_values_are_evaluated_once_per_basis_and_node_array(monkeypatch):
-    evaluate = BasisSpec._evaluate
+def test_basis_values_are_evaluated_once_per_basis_and_node_array(monkeypatch, cold_tables):
+    evaluate = harmonics._evaluate
     calls = []
 
-    def counted(self, m, theta):
+    def counted(kind, dim, m, poles, theta):
         calls.append(m)
-        return evaluate(self, m, theta)
+        return evaluate(kind, dim, m, poles, theta)
 
-    monkeypatch.setattr(BasisSpec, "_evaluate", counted)
+    monkeypatch.setattr(harmonics, "_evaluate", counted)
     nodes = sphere_grid(3, 8).nodes
     spec = BasisSpec("zonal", 3)
     first = spec.values(2, nodes)
@@ -239,17 +239,40 @@ def test_basis_values_are_evaluated_once_per_basis_and_node_array(monkeypatch):
     assert spec.values(2, nodes.copy()) is first
     spec.gram(2)
     assert calls == [2]
-    assert np.array_equal(first, evaluate(spec, 2, nodes))
+    assert np.array_equal(first, evaluate("zonal", 3, 2, default_poles(3, 2), nodes))
     with pytest.raises(ValueError):
         first[0, 0] = 0.0
-    # a basis with other poles keeps its own table
+    # a basis with other poles has an entry of its own
     other = BasisSpec("zonal", 3, poles={2: np.roll(default_poles(3, 2), 1, axis=1)})
     assert not np.allclose(other.values(2, nodes), first)
     assert calls == [2, 2]
     # a single point is evaluated afresh and not tabled
     spec.values(2, nodes[0])
     spec.values(2, nodes[0])
-    assert calls == [2, 2, 2, 2] and len(spec._value_table) == 1
+    assert calls == [2, 2, 2, 2] and harmonics._value_table.cache_info().currsize == 2
+
+
+@pytest.mark.parametrize("kind, dim", [("fourier2d", 2), ("palpha", 3), ("zonal", 3)])
+def test_fresh_bases_share_one_value_table_entry(kind, dim, cold_tables):
+    nodes = sphere_grid(dim, 6).nodes
+    first = BasisSpec(kind, dim).values(2, nodes)
+    assert BasisSpec(kind, dim).values(2, nodes) is first
+    info = harmonics._value_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_explicit_pole_tables_keep_their_own_value_table_entries(cold_tables):
+    nodes = sphere_grid(3, 6).nodes
+    poles = default_poles(3, 2)
+    default = BasisSpec("zonal", 3).values(2, nodes)
+    # a copy of the default table names the same functions, and shares their entry
+    assert BasisSpec("zonal", 3, poles={2: poles.copy()}).values(2, nodes) is default
+    # other tables, even the same poles in another order, do not
+    reordered = BasisSpec("zonal", 3, poles={2: poles[::-1].copy()}).values(2, nodes)
+    rotated = BasisSpec("zonal", 3, poles={2: np.roll(poles, 1, axis=1)}).values(2, nodes)
+    assert np.array_equal(reordered, default[:, ::-1])
+    assert not np.allclose(rotated, default)
+    assert harmonics._value_table.cache_info().currsize == 3
 
 
 def _per_pole_default_poles(d, m):
@@ -292,12 +315,12 @@ def test_p_alpha_polynomials_are_built_once_per_process(monkeypatch, cold_tables
     assert len(calls) == harmonic_dim(3, 3) + harmonic_dim(4, 3)
 
 
-def test_basis_value_table_keeps_its_bound():
+def test_basis_value_table_keeps_its_bound(cold_tables):
     spec = BasisSpec("palpha", 3)
     pts = sphere_grid(3, 12).nodes
-    for k in range(_VALUE_TABLE_SIZE + 10):
+    for k in range(_TABLE_SIZE + 10):
         spec.values(1, pts[2 * k:2 * k + 2])
-    assert len(spec._value_table) == _VALUE_TABLE_SIZE
+    assert harmonics._value_table.cache_info().currsize == _TABLE_SIZE
 
 
 @pytest.mark.parametrize(

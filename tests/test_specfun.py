@@ -214,6 +214,20 @@ def test_product_series_matches_two_factor_product():
         )
 
 
+def test_product_series_refuses_a_cancelled_sum():
+    # with the x87 long double the sum of J_0^2 errs by 3e-8 at r = 18, and
+    # eps times its largest term passes CANCEL_LIMIT between r = 18.3 and 18.4
+    if np.finfo(np.longdouble).eps < np.finfo(float).eps:
+        for r in (18.0, 18.3):
+            assert abs(bessel_product_series(0, 0, 0, r) - bessel_j(0, r) ** 2) < 1e-7
+        for r in (18.4, 22.0, 30.0):
+            with pytest.raises(ValueError, match=rf"J_0\({r:g}\) J_0\({r:g}\) is out of range"):
+                bessel_product_series(0, 0, 0, r)
+    # an array names its worst radius
+    with pytest.raises(ValueError, match=r"J_1\(30\) J_2\(30\)"):
+        bessel_product_series(1, 2, 0, np.array([1.0, 30.0, 25.0]))
+
+
 def test_product_integral_examples():
     assert bessel_product_integral(0, 0, 0, 0.0) == pytest.approx(1.0, abs=1e-14)
     assert bessel_product_integral(2, 0, 0, 1.0) == pytest.approx(
