@@ -21,6 +21,13 @@ columns and the right-hand side become Python integers scaled by
 both. They take their precision from mpmath's global context: parallelize
 across processes, not threads.
 
+The d = 2 angular transform of mp samples gives the bits of mp.fdot(row,
+twiddle) / Q: fdot rounds an exact sum of exact products once, so each part
+is one integer dot product of the row and a twiddle, both held as integers
+on one exponent, and one rounding. The twiddles are a process-wide table per
+(Q, precision), _dft_twiddles; a row outside the exponent range where fdot's
+sum is exact takes fdot itself.
+
 estimate_max_degree reads only residuals, so it unmixes with the "float64"
 method whatever the samples' precision; in both dimensions it raises
 DegreeUnresolvableError when angular content lies above twice its estimate.
@@ -28,11 +35,12 @@ DegreeUnresolvableError when angular content lies above twice its estimate.
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from operator import mul
 
 import numpy as np
 from mpmath import mp, mpf
-from mpmath.libmp import from_int, mpf_div, mpf_shift, round_nearest, to_fixed
+from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_shift, round_nearest, to_fixed
 
 from .field import MagnitudeData, MagnitudeGrid, check_degree, nu_order
 from .harmonics import _polar_rule
@@ -49,6 +57,8 @@ TRUNCATION_FLOOR = 64 * np.finfo(float).eps
 DEGREE_CAP = 16
 # radial_grid keeps its nodes above this fraction of the ball radius
 INNER_FRAC = 0.05
+# (angles per circle, precision) twiddle tables kept by _dft_twiddles
+_TWIDDLE_TABLE_SIZE = 16
 
 
 class ExtractionRankError(RuntimeError):
@@ -69,7 +79,7 @@ class NonZonalDataError(ValueError):
     """d >= 3 samples vary over the S^{d-2} nodes of a polar node: not zonal."""
 
 
-@dataclass
+@dataclass(eq=False)
 class RadialProfile:
     """One angular component of the magnitude samples as a function of radius."""
 
@@ -115,6 +125,86 @@ def _is_uniform_angles(angles, count) -> bool:
     return np.allclose(np.sort(angles % (2 * np.pi)), expected, atol=1e-9)
 
 
+def _span(raws):
+    """(lowest exponent, highest exponent, lowest top exp + bc) over the nonzero
+    raw libmp values, or None if every value is zero."""
+    nonzero = [(exp, exp + bc) for _, man, exp, bc in raws if man]
+    if not nonzero:
+        return None
+    lows, tops = zip(*nonzero)
+    return min(lows), max(lows), min(tops)
+
+
+def _aligned(raws):
+    """Raw libmp values as integers on the lowest exponent e among them:
+    value_i = ints_i * 2^e. Returns (ints, e)."""
+    e = min((exp for _, man, exp, _ in raws if man), default=0)
+    return [((-man if sign else man) << (exp - e)) if man else 0
+            for sign, man, exp, _ in raws], e
+
+
+@lru_cache(maxsize=_TWIDDLE_TABLE_SIZE)
+def _dft_twiddles(Q, prec):
+    """The twiddles e^{-2 pi i q k / Q}, k < Q, of the mp DFT for q <= (Q - 1) // 2,
+    rounded at precision prec. Per q, their cos and sin parts as integers on
+    one exponent e, (cos, sin, e); then the _span of all parts. Shared across
+    the process."""
+    per_q, spans = [], []
+    with mp.workprec(prec):
+        for q in range((Q - 1) // 2 + 1):
+            twiddle = [mp.expjpi(mpf(-2 * q * k) / Q)._mpc_ for k in range(Q)]
+            parts = [z[0] for z in twiddle] + [z[1] for z in twiddle]
+            ints, e = _aligned(parts)
+            per_q.append((tuple(ints[:Q]), tuple(ints[Q:]), e))
+            spans.append(_span(parts))
+    lows, highs, tops = zip(*spans)
+    return tuple(per_q), (min(lows), max(highs), min(tops))
+
+
+def _sum_is_exact(raws, tw_span, prec):
+    """Whether mpf_sum at precision prec adds every product of a raw row value
+    and a twiddle part of _span tw_span exactly.
+
+    mpf_sum keeps (man, exp), exp the lowest exponent so far and 0 at the
+    start. It drops a term whose top lies more than 2 prec bits below exp, and
+    a term whose exponent lies more than 2 prec bits above exp replaces the
+    sum. The bounds below rule out both; inf and nan are never exact.
+    """
+    if not all(man or not exp for _, man, exp, _ in raws):
+        return False
+    span = _span(raws)
+    if span is None:
+        return True
+    low, high, top = span[0] + tw_span[0], span[1] + tw_span[1], span[2] + tw_span[2] - 1
+    return high - min(0, low) <= 2 * prec and min(0, high) - top <= 2 * prec
+
+
+def _mp_dft(row, table):
+    """mp.fdot(row, twiddle) / Q for every twiddle of a _dft_twiddles table,
+    Q = len(row), bit for bit.
+
+    fdot multiplies exactly and rounds the sum of the products once, so each
+    part is an integer dot product of the aligned row and twiddle parts,
+    rounded once by from_man_exp, then divided by Q as mpc / int divides.
+    Rows where fdot's sum is not exact (_sum_is_exact), or that hold anything
+    but mpf values, take fdot itself, on the twiddles rebuilt from the table.
+    """
+    per_q, tw_span = table
+    Q = len(row)
+    prec = mp.prec
+    raws = [v._mpf_ for v in row] if all(type(v) is mpf for v in row) else None
+    if raws is None or not _sum_is_exact(raws, tw_span, prec):
+        return [mp.fdot(row, [mp.make_mpc((from_man_exp(c, e), from_man_exp(s, e)))
+                              for c, s in zip(C, S)]) / Q
+                for C, S, e in per_q]
+    A, ea = _aligned(raws)
+    rnd, q_mpf = round_nearest, from_int(Q)
+    return [mp.make_mpc((
+        mpf_div(from_man_exp(_dot(A, C), ea + e, prec, rnd), q_mpf, prec, rnd),
+        mpf_div(from_man_exp(_dot(A, S), ea + e, prec, rnd), q_mpf, prec, rnd),
+    )) for C, S, e in per_q]
+
+
 def angular_decompose(samples: MagnitudeGrid, d: int) -> list:
     """Split magnitude samples into per-frequency radial profiles.
 
@@ -137,10 +227,11 @@ def angular_decompose(samples: MagnitudeGrid, d: int) -> list:
         profiles = []
         with mp.workdps(WORK_DPS):
             if high:
+                table = _dft_twiddles(Q, mp.prec)
+                parts = [_mp_dft(row, table) for row in vals.tolist()]
                 for q in range(qmax + 1):
-                    twiddle = [mp.expjpi(mpf(-2 * q * k) / Q) for k in range(Q)]
                     rows = np.empty(len(samples.radii), dtype=object)
-                    rows[:] = [mp.fdot(row, twiddle) / Q for row in vals.tolist()]
+                    rows[:] = [part[q] for part in parts]
                     profiles.append(RadialProfile(2, q, samples.radii, rows))
             else:
                 coef = np.fft.fft(np.asarray(vals, dtype=float), axis=1) / Q

@@ -13,11 +13,11 @@ data of a field is the family of real functions Re c_{m,n} determined by
 import math
 import warnings
 from dataclasses import dataclass
-from operator import mul
 from types import MappingProxyType
 
 import numpy as np
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_pow_int, round_nearest
 
 from . import harmonics
 from .harmonics import BasisSpec, SphereGrid, harmonic_dim, sphere_grid, surface_measure
@@ -37,7 +37,7 @@ def check_degree(max_degree: int):
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
 
 
-@dataclass
+@dataclass(eq=False)
 class HerglotzField:
     """Truncated coefficient table of a Herglotz field; immutable by convention."""
 
@@ -555,7 +555,7 @@ def random_field(
     return HerglotzField(dim, max_degree, basis, coeffs)
 
 
-@dataclass
+@dataclass(eq=False)
 class MagnitudeGrid:
     """|u|^2 sampled on radii x sphere nodes; values has shape (len(radii), len(grid))."""
 
@@ -588,11 +588,12 @@ def sample_magnitude(
         raise ValueError("high-precision sampling is only implemented for d = 2")
     with mp.workdps(dps):
         degrees = range(u.max_degree + 1)
-        js = [[bessel_j_mp(m, mpf(r)) for r in radii] for m in degrees]
+        js = [[bessel_j_mp(m, mpf(r))._mpf_ for r in radii] for m in degrees]
         js_at_radius = list(zip(*js))
         coeffs = [[mpc(c) for c in u.coeffs[m]] for m in degrees]
         vals = np.empty((len(radii), angular), dtype=object)
-        pref = 2 * mp.pi
+        pref = (2 * mp.pi)._mpf_
+        prec, rnd = mp.prec, round_nearest
         for qi in range(angular):
             # f_m(theta) = c_m e^{i m theta} + c_{-m} e^{-i m theta}, once per
             # angle. The sum over m rounds term by term in ascending m: taylor
@@ -602,7 +603,15 @@ def sample_magnitude(
             for m in degrees[1:]:
                 phase = mp.expjpi(mpf(2 * m * qi) / angular)
                 f.append(coeffs[m][0] * phase + coeffs[m][1] / phase)
+            f = [z._mpc_ for z in f]
+            # the loop of the mpc operators tot = mpc(0) + f_0 J_0 + f_1 J_1 + ...
+            # and 2 pi (tot.real**2 + tot.imag**2), on raw libmp tuples
             for ri, jrow in enumerate(js_at_radius):
-                tot = sum(map(mul, f, jrow), mpc(0))
-                vals[ri, qi] = pref * (tot.real**2 + tot.imag**2)
+                re = im = fzero
+                for (a, b), j in zip(f, jrow):
+                    re = mpf_add(re, mpf_mul(a, j, prec, rnd), prec, rnd)
+                    im = mpf_add(im, mpf_mul(b, j, prec, rnd), prec, rnd)
+                square = mpf_add(mpf_pow_int(re, 2, prec, rnd), mpf_pow_int(im, 2, prec, rnd),
+                                 prec, rnd)
+                vals[ri, qi] = mp.make_mpf(mpf_mul(pref, square, prec, rnd))
     return MagnitudeGrid(2, radii, grid, vals)

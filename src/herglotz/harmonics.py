@@ -285,7 +285,7 @@ def _value_table(kind: str, dim: int, m: int, poles: bytes | None, shape: tuple,
     return _read_only(_evaluate(kind, dim, m, poles, np.frombuffer(nodes).reshape(shape)))
 
 
-@dataclass
+@dataclass(eq=False)
 class BasisSpec:
     """Which spherical-harmonic basis is in force.
 

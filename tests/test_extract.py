@@ -83,6 +83,45 @@ def test_angular_decompose_two_sided_mode():
     assert active == {0, 2}
 
 
+def _fdot_dft(rows, Q):
+    """The mp DFT written with mp.fdot, one twiddle list per frequency."""
+    with mp.workdps(WORK_DPS):
+        out = []
+        for q in range((Q - 1) // 2 + 1):
+            twiddle = [mp.expjpi(mpf(-2 * q * k) / Q) for k in range(Q)]
+            out.append([(mp.fdot(row, twiddle) / Q)._mpc_ for row in rows])
+        return out
+
+
+@pytest.mark.parametrize("Q", [17, 25, 40])
+def test_mp_dft_matches_fdot_bit_for_bit(Q, monkeypatch, cold_tables):
+    rng = np.random.default_rng(Q)
+    with mp.workdps(40):
+        rows = [[3 * mpf(x) ** 2 for x in rng.standard_normal(Q)] for _ in range(6)]
+    rows[1][::3] = [mpf(0)] * len(rows[1][::3])
+    rows[2] = [mpf(0)] * Q
+    # beside 40-digit O(1) values, 2^-150 keeps every product within the bound
+    # on fdot's mpf_sum (2 prec = 338 bits) and takes the integer sum; with
+    # 2^-400 the products span 441 bits, outside it, so that row takes fdot
+    # itself, as does the last: at q = 0 mpf_sum lets 1 replace 2^-1000, and
+    # the frequency-0 part is 0, not the exact 2^-1000 / Q
+    rows[3][5] = mpf(2) ** -150
+    rows[4][5] = mpf(2) ** -400
+    rows[5] = [mpf(2) ** -1000, mpf(1), mpf(-1)] + [mpf(0)] * (Q - 3)
+    want = _fdot_dft(rows, Q)
+    values = np.empty((len(rows), Q), dtype=object)
+    values[:] = rows
+    grid = MagnitudeGrid(2, radial_grid(len(rows)), sphere_grid(2, Q), values)
+    fdots = []
+    monkeypatch.setattr(mp, "fdot", lambda *args: fdots.append(1) or type(mp).fdot(mp, *args))
+    got = [[v._mpc_ for v in p.values] for p in angular_decompose(grid, 2)]
+    assert got == want and got[0][5] == (mpf(0)._mpf_, mpf(0)._mpf_)
+    assert len(fdots) == 2 * ((Q - 1) // 2 + 1)
+    with mp.workdps(WORK_DPS):
+        per_q, _ = extract._dft_twiddles(Q, mp.prec)
+    assert any(0 in C for C, _, _ in per_q) == (Q % 4 == 0)  # exact zeros at Q = 40
+
+
 def test_angular_decompose_rejects_nonuniform():
     radii = radial_grid(6)
     ang = np.array([0.0, 0.3, 1.1, 2.0, 4.0, 5.5])

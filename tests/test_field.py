@@ -389,3 +389,16 @@ def test_field_validation():
         HerglotzField(2, 0, F2, [np.zeros(2, complex)])
     with pytest.raises(ValueError):
         HerglotzField(3, 0, F2, [np.zeros(1, complex)])
+
+
+def test_array_holding_dataclasses_compare_by_identity():
+    # a generated __eq__ compared their arrays elementwise and raised "the
+    # truth value of an array ... is ambiguous" for equal explicit pole tables
+    a = BasisSpec("zonal", 3, poles={2: harmonics.default_poles(3, 2).copy()})
+    b = BasisSpec("zonal", 3, poles={2: harmonics.default_poles(3, 2).copy()})
+    u, v = random_field(3, 2, a, seed=1), random_field(3, 2, b, seed=1)
+    g = sample_magnitude(random_field(2, 1, F2, seed=1), radial_grid(4), 5)
+    h = sample_magnitude(random_field(2, 1, F2, seed=1), radial_grid(4), 5)
+    p, q = angular_decompose(g, 2)[0], angular_decompose(h, 2)[0]
+    for x, y in ((a, b), (u, v), (g, h), (p, q)):
+        assert x == x and x != y

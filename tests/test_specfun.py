@@ -368,7 +368,7 @@ def test_bessel_mp_bit_identical_to_operator_loop(dps):
 
 def test_bessel_mp_stops_at_the_operator_loops_term(monkeypatch):
     # the operator loop makes one `<=` (mpf_le) per term and the libmp loop
-    # one mpf_cmp, so equal counts mean both stop after the same term
+    # one mpf_mul, so equal counts mean both stop after the same term
     counts = {"libmp": 0, "operators": 0}
 
     def counting(name, fn):
@@ -377,7 +377,7 @@ def test_bessel_mp_stops_at_the_operator_loops_term(monkeypatch):
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(specfun, "mpf_cmp", counting("libmp", specfun.mpf_cmp))
+    monkeypatch.setattr(specfun, "mpf_mul", counting("libmp", specfun.mpf_mul))
     monkeypatch.setattr(ctx_mp_python, "mpf_le", counting("operators", ctx_mp_python.mpf_le))
     with mp.workdps(50):
         # at small r and high order the sum falls below the 1e-40 floor
