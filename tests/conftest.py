@@ -1,16 +1,23 @@
+import importlib
+import pkgutil
+
 import pytest
 
-from herglotz import extract, harmonics, specfun
+import herglotz
+
+
+def process_tables():
+    """Every process-wide table of the herglotz modules: each object that a
+    module holds with a ``cache_clear`` (the functools.lru_cache tables)."""
+    modules = [importlib.import_module(f"herglotz.{info.name}")
+               for info in pkgutil.iter_modules(herglotz.__path__)]
+    return {obj for module in modules for obj in vars(module).values()
+            if callable(getattr(obj, "cache_clear", None))}
 
 
 @pytest.fixture
 def cold_tables():
-    """Empty every process-wide table (sphere grids, Gauss-Legendre rules,
-    basis values, pole tables, p_alpha polynomials, Bessel rows, the constants
-    and divisors of the mp Bessel series, and the mp DFT's twiddles), so that
-    a test counting evaluations does not depend on which tests ran before it."""
-    for table in (harmonics.sphere_grid, specfun.leggauss, harmonics._value_table,
-                  harmonics.default_poles, harmonics._palpha_table, specfun._bessel_row,
-                  specfun._mp_series_constants, specfun._mp_series_divisors,
-                  extract._dft_twiddles):
+    """Empty every process-wide table, so that a test counting evaluations
+    does not depend on which tests ran before it."""
+    for table in process_tables():
         table.cache_clear()
