@@ -16,17 +16,17 @@ profile solves and the d >= 3 zonal joint solve, and it raises ExtractionRankErr
 with the condition estimate and the weak pairs, when that estimate exceeds
 CONDITION_WARN. Object arrays of mp samples, and the "lstsq" and "taylor"
 methods on request, take the 50-digit solves, which work in fixed point: the
-columns and the right-hand side become Python integers scaled by
+columns and the right-hand sides become Python integers scaled by
 2^(mp.prec + GUARD_BITS), and one least-squares kernel (_mp_qr_solve) serves
-both. They take their precision from mpmath's global context: parallelize
-across processes, not threads.
+both, with one factorization per design for all its right-hand sides. They
+take their precision from mpmath's global context: parallelize across
+processes, not threads.
 
-The d = 2 angular transform of mp samples gives the bits of mp.fdot(row,
-twiddle) / Q: fdot rounds an exact sum of exact products once, so each part
-is one integer dot product of the row and a twiddle, both held as integers
-on one exponent, and one rounding. The twiddles are a process-wide table per
-(Q, precision), _dft_twiddles; a row outside the exponent range where fdot's
-sum is exact takes fdot itself.
+The d = 2 angular transform of mp samples is exactly rounded: each part is
+one integer dot product of the row and a twiddle, both held as integers on one
+exponent, rounded once and then divided by Q. The twiddles are a process-wide
+table per (Q, precision), _dft_twiddles. A row holding inf or nan raises
+ValueError.
 
 estimate_max_degree reads only residuals, so it unmixes with the "float64"
 method whatever the samples' precision; in both dimensions it raises
@@ -125,16 +125,6 @@ def _is_uniform_angles(angles, count) -> bool:
     return np.allclose(np.sort(angles % (2 * np.pi)), expected, atol=1e-9)
 
 
-def _span(raws):
-    """(lowest exponent, highest exponent, lowest top exp + bc) over the nonzero
-    raw libmp values, or None if every value is zero."""
-    nonzero = [(exp, exp + bc) for _, man, exp, bc in raws if man]
-    if not nonzero:
-        return None
-    lows, tops = zip(*nonzero)
-    return min(lows), max(lows), min(tops)
-
-
 def _aligned(raws):
     """Raw libmp values as integers on the lowest exponent e among them:
     value_i = ints_i * 2^e. Returns (ints, e)."""
@@ -146,59 +136,30 @@ def _aligned(raws):
 @lru_cache(maxsize=_TWIDDLE_TABLE_SIZE)
 def _dft_twiddles(Q, prec):
     """The twiddles e^{-2 pi i q k / Q}, k < Q, of the mp DFT for q <= (Q - 1) // 2,
-    rounded at precision prec. Per q, their cos and sin parts as integers on
-    one exponent e, (cos, sin, e); then the _span of all parts. Shared across
-    the process."""
-    per_q, spans = [], []
+    rounded at precision prec: per q, their cos and sin parts as integers on
+    one exponent e, (cos, sin, e). Shared across the process."""
+    per_q = []
     with mp.workprec(prec):
         for q in range((Q - 1) // 2 + 1):
             twiddle = [mp.expjpi(mpf(-2 * q * k) / Q)._mpc_ for k in range(Q)]
-            parts = [z[0] for z in twiddle] + [z[1] for z in twiddle]
-            ints, e = _aligned(parts)
+            ints, e = _aligned([z[0] for z in twiddle] + [z[1] for z in twiddle])
             per_q.append((tuple(ints[:Q]), tuple(ints[Q:]), e))
-            spans.append(_span(parts))
-    lows, highs, tops = zip(*spans)
-    return tuple(per_q), (min(lows), max(highs), min(tops))
+    return tuple(per_q)
 
 
-def _sum_is_exact(raws, tw_span, prec):
-    """Whether mpf_sum at precision prec adds every product of a raw row value
-    and a twiddle part of _span tw_span exactly.
+def _mp_dft(row, per_q):
+    """sum_k row_k twiddle_k / Q for every twiddle of a _dft_twiddles table,
+    Q = len(row), each value taken as mpf(v).
 
-    mpf_sum keeps (man, exp), exp the lowest exponent so far and 0 at the
-    start. It drops a term whose top lies more than 2 prec bits below exp, and
-    a term whose exponent lies more than 2 prec bits above exp replaces the
-    sum. The bounds below rule out both; inf and nan are never exact.
+    Each part is one integer dot product of the aligned row and twiddle parts,
+    so the sum is exact, rounded once by from_man_exp, then divided by Q as
+    mpc / int divides. A row holding inf or nan raises ValueError.
     """
-    if not all(man or not exp for _, man, exp, _ in raws):
-        return False
-    span = _span(raws)
-    if span is None:
-        return True
-    low, high, top = span[0] + tw_span[0], span[1] + tw_span[1], span[2] + tw_span[2] - 1
-    return high - min(0, low) <= 2 * prec and min(0, high) - top <= 2 * prec
-
-
-def _mp_dft(row, table):
-    """mp.fdot(row, twiddle) / Q for every twiddle of a _dft_twiddles table,
-    Q = len(row), bit for bit.
-
-    fdot multiplies exactly and rounds the sum of the products once, so each
-    part is an integer dot product of the aligned row and twiddle parts,
-    rounded once by from_man_exp, then divided by Q as mpc / int divides.
-    Rows where fdot's sum is not exact (_sum_is_exact), or that hold anything
-    but mpf values, take fdot itself, on the twiddles rebuilt from the table.
-    """
-    per_q, tw_span = table
-    Q = len(row)
-    prec = mp.prec
-    raws = [v._mpf_ for v in row] if all(type(v) is mpf for v in row) else None
-    if raws is None or not _sum_is_exact(raws, tw_span, prec):
-        return [mp.fdot(row, [mp.make_mpc((from_man_exp(c, e), from_man_exp(s, e)))
-                              for c, s in zip(C, S)]) / Q
-                for C, S, e in per_q]
+    raws = [mpf(v)._mpf_ for v in row]
+    if any(exp and not man for _, man, exp, _ in raws):
+        raise ValueError("the mp DFT needs finite samples")
     A, ea = _aligned(raws)
-    rnd, q_mpf = round_nearest, from_int(Q)
+    prec, rnd, q_mpf = mp.prec, round_nearest, from_int(len(row))
     return [mp.make_mpc((
         mpf_div(from_man_exp(_dot(A, C), ea + e, prec, rnd), q_mpf, prec, rnd),
         mpf_div(from_man_exp(_dot(A, S), ea + e, prec, rnd), q_mpf, prec, rnd),
@@ -302,14 +263,16 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-def _mp_qr_solve(cols, rhs):
-    """Least squares via modified Gram-Schmidt (two passes) on normalized columns.
+def _mp_qr_solve(cols, rhss):
+    """Least squares via modified Gram-Schmidt (two passes) on normalized columns,
+    one factorization for every right-hand side in rhss.
 
-    Each column, and the right-hand side, is scaled by a power of two taken from
-    its largest entry and held as integers with F = mp.prec + GUARD_BITS
-    fraction bits; the factorization and the back substitution run on those
-    integers. Returns (solution as mpf at the working precision, condition
-    estimate from the R diagonal, residual norm, rank-deficient columns).
+    Each column, and each right-hand side, is scaled by a power of two taken
+    from its largest entry and held as integers with F = mp.prec + GUARD_BITS
+    fraction bits; the factorization and the back substitutions run on those
+    integers. Returns (one solution per right-hand side, as mpf at the working
+    precision; the condition estimate from the R diagonal; one residual norm
+    per right-hand side; the rank-deficient columns).
     """
     F = mp.prec + GUARD_BITS
     scaled = [_fixed(col, F) for col in cols]
@@ -331,21 +294,25 @@ def _mp_qr_solve(cols, rhs):
     dmax = max(diag)
     deficient = [j for j, dj in enumerate(diag) if dj * 10 ** (mp.dps - 8) <= dmax]
     cond = dmax / min(diag) if min(diag) > 0 else math.inf
-    b, eb = _fixed(rhs, F)
-    x = [0] * ncols
-    for i in range(ncols - 1, -1, -1):
-        if i not in deficient:
-            s = _dot(qcols[i], b) - _dot(R[i][i + 1:], x[i + 1:])
-            x[i] = s // R[i][i]
-    fit = [_dot(row, x) >> F for row in zip(*unit)]
-    resid = math.isqrt(sum((bt - ft) ** 2 for bt, ft in zip(b, fit)))
-    # entry j of the solution is x_j / N_j * 2^(eb - e_j), rounded once
-    sol = [
-        mp.make_mpf(mpf_shift(mpf_div(from_int(xj), from_int(nr), mp.prec, round_nearest), eb - e))
-        if nr else mpf(0)
-        for xj, nr, (_, e) in zip(x, norms, scaled)
-    ]
-    return sol, cond, float(mp.ldexp(resid, eb - F)), deficient
+    prec, rnd = mp.prec, round_nearest
+    sols, resids = [], []
+    for rhs in rhss:
+        b, eb = _fixed(rhs, F)
+        x = [0] * ncols
+        for i in range(ncols - 1, -1, -1):
+            if i not in deficient:
+                s = _dot(qcols[i], b) - _dot(R[i][i + 1:], x[i + 1:])
+                x[i] = s // R[i][i]
+        fit = [_dot(row, x) >> F for row in zip(*unit)]
+        resid = math.isqrt(sum((bt - ft) ** 2 for bt, ft in zip(b, fit)))
+        # entry j of the solution is x_j / N_j * 2^(eb - e_j), rounded once
+        sols.append([
+            mp.make_mpf(mpf_shift(mpf_div(from_int(xj), from_int(nr), prec, rnd), eb - e))
+            if nr else mpf(0)
+            for xj, nr, (_, e) in zip(x, norms, scaled)
+        ])
+        resids.append(float(mp.ldexp(resid, eb - F)))
+    return sols, cond, resids, deficient
 
 
 def _mp_parts(values):
@@ -378,8 +345,7 @@ def _taylor_gamma(pairs, profile, d):
     re = [re[i] * rin[i] ** (d - 2) for i in range(n_inner)]
     im = [im[i] * rin[i] ** (d - 2) for i in range(n_inner)]
     pcols = [[r ** (lmin + 2 * k) for r in rin] for k in range(K)]
-    cr, _, _, _ = _mp_qr_solve(pcols, re)
-    ci, _, _, _ = _mp_qr_solve(pcols, im)
+    (cr, ci), _, _, _ = _mp_qr_solve(pcols, [re, im])
     # series matrix S[k][j]: coefficient of r^(lmin+2k) in 2 pi J_{nu(m)} J_{nu(n)}
     S = [[mpf(0)] * len(pairs) for _ in range(K)]
     for j, (m, n) in enumerate(pairs):
@@ -395,8 +361,7 @@ def _taylor_gamma(pairs, profile, d):
             )
             kk += 1
     s_cols = [[S[k][j] for k in range(K)] for j in range(len(pairs))]
-    gr, cond, _, defic = _mp_qr_solve(s_cols, cr)
-    gi, _, _, _ = _mp_qr_solve(s_cols, ci)
+    (gr, gi), cond, _, defic = _mp_qr_solve(s_cols, [cr, ci])
     gamma = {
         p: complex(float(gr[j]), float(gi[j])) for j, p in enumerate(pairs)
     }
@@ -408,8 +373,7 @@ def _lstsq_unmix(profile, pairs, d):
     with mp.workdps(WORK_DPS):
         cols = _mp_columns(pairs, profile.radii, d)
         re, im = _mp_parts(profile.values)
-        gr, cond, res_r, defic = _mp_qr_solve(cols, re)
-        gi, _, res_i, _ = _mp_qr_solve(cols, im)
+        (gr, gi), cond, (res_r, res_i), defic = _mp_qr_solve(cols, [re, im])
     if defic:
         raise ExtractionRankError([pairs[j] for j in defic])
     gamma = {p: complex(float(gr[j]), float(gi[j])) for j, p in enumerate(pairs)}

@@ -16,8 +16,9 @@ high-precision sampling, runs on raw libmp tuples with exactly the roundings
 of the mpf operators (round-to-nearest at mp.prec), so its values are those of
 the operator loop bit for bit: on 64 radial_grid radii, orders 0 to 8, a call
 took 48-52 us at 40 digits and 58-60 us at 50, against 159 and 197 us for the
-operator loop. It reads mpmath's global precision context: parallelize across
-processes, not threads.
+operator loop. Its constants and exact divisors come from one process-wide
+table per (order, precision), _mp_series. It reads mpmath's global precision
+context: parallelize across processes, not threads.
 """
 
 import math
@@ -322,19 +323,15 @@ def bessel_product_integral(n: int, m: int, alpha, r, quad_points: int = 512):
 # -- arbitrary-precision series (internal; used by the extraction solvers) --
 
 @lru_cache(maxsize=128)
-def _mp_series_constants(two_nu, prec):
-    """nu and Gamma(nu + 1) as mpf values, and the 1e-40 floor of the stop
-    test as a raw libmp value, computed at the working precision prec."""
+def _mp_series(two_nu, prec):
+    """The per-order table of bessel_j_mp at the working precision prec: nu and
+    Gamma(nu + 1) as mpf values, the 1e-40 floor of the stop test, and the
+    exact divisors (k + 1)(nu + k + 1) of the first _MP_DIVISOR_TERMS terms, as
+    raw libmp values; later terms build their divisors on the fly."""
     nu = mpf(two_nu) / 2
-    return nu, mp.gamma(nu + 1), mpf("1e-40")._mpf_
-
-
-@lru_cache(maxsize=128)
-def _mp_series_divisors(two_nu):
-    """The exact divisors (k + 1)(nu + k + 1) of the first _MP_DIVISOR_TERMS
-    terms as raw libmp values; later terms build theirs on the fly."""
-    return tuple(from_man_exp((k + 1) * (two_nu + 2 * k + 2), -1)
-                 for k in range(_MP_DIVISOR_TERMS))
+    divisors = tuple(from_man_exp((k + 1) * (two_nu + 2 * k + 2), -1)
+                     for k in range(_MP_DIVISOR_TERMS))
+    return nu, mp.gamma(nu + 1), mpf("1e-40")._mpf_, divisors
 
 
 def bessel_j_mp(nu, r):
@@ -365,8 +362,7 @@ def bessel_j_mp(nu, r):
         return mpf(1) if nu_f == 0 else mpf(0)
     prec = mp.prec
     two_nu = int(2 * nu_f)
-    nu_m, gamma, tiny = _mp_series_constants(two_nu, prec)
-    divisors = _mp_series_divisors(two_nu)
+    nu_m, gamma, tiny, divisors = _mp_series(two_nu, prec)
     total = t = (half**nu_m / gamma)._mpf_
     h2 = (half * half)._mpf_
     shift = 1 - prec

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import from_int, from_rational, mpf_div, round_nearest
 
 from herglotz import extract, specfun
 from herglotz.extract import (
@@ -83,43 +85,82 @@ def test_angular_decompose_two_sided_mode():
     assert active == {0, 2}
 
 
+def _twiddles(Q):
+    with mp.workdps(WORK_DPS):
+        return [[mp.expjpi(mpf(-2 * q * k) / Q) for k in range(Q)]
+                for q in range((Q - 1) // 2 + 1)]
+
+
 def _fdot_dft(rows, Q):
     """The mp DFT written with mp.fdot, one twiddle list per frequency."""
     with mp.workdps(WORK_DPS):
+        return [[(mp.fdot(row, twiddle) / Q)._mpc_ for row in rows] for twiddle in _twiddles(Q)]
+
+
+def _exact_dft(rows, Q):
+    """The mp DFT as an exact Fraction sum of each row and the rounded twiddles,
+    rounded once at the working precision and then divided by Q."""
+
+    def exact(x):
+        sign, man, exp, _ = x._mpf_
+        return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+    with mp.workdps(WORK_DPS):
+        prec, q_mpf = mp.prec, from_int(Q)
         out = []
-        for q in range((Q - 1) // 2 + 1):
-            twiddle = [mp.expjpi(mpf(-2 * q * k) / Q) for k in range(Q)]
-            out.append([(mp.fdot(row, twiddle) / Q)._mpc_ for row in rows])
+        for twiddle in _twiddles(Q):
+            per_row = []
+            for row in rows:
+                parts = []
+                for part in ("real", "imag"):
+                    total = sum(exact(v) * exact(getattr(t, part)) for v, t in zip(row, twiddle))
+                    rounded = from_rational(total.numerator, total.denominator, prec, round_nearest)
+                    parts.append(mpf_div(rounded, q_mpf, prec, round_nearest))
+                per_row.append(tuple(parts))
+            out.append(per_row)
         return out
 
 
 @pytest.mark.parametrize("Q", [17, 25, 40])
-def test_mp_dft_matches_fdot_bit_for_bit(Q, monkeypatch, cold_tables):
+def test_mp_dft_is_exactly_rounded(Q, monkeypatch, cold_tables):
     rng = np.random.default_rng(Q)
     with mp.workdps(40):
         rows = [[3 * mpf(x) ** 2 for x in rng.standard_normal(Q)] for _ in range(6)]
     rows[1][::3] = [mpf(0)] * len(rows[1][::3])
     rows[2] = [mpf(0)] * Q
-    # beside 40-digit O(1) values, 2^-150 keeps every product within the bound
-    # on fdot's mpf_sum (2 prec = 338 bits) and takes the integer sum; with
-    # 2^-400 the products span 441 bits, outside it, so that row takes fdot
-    # itself, as does the last: at q = 0 mpf_sum lets 1 replace 2^-1000, and
-    # the frequency-0 part is 0, not the exact 2^-1000 / Q
+    # beside 40-digit O(1) values, 2^-150 keeps every product within 2 prec
+    # = 338 bits of the others, where fdot's mpf_sum is exact; with 2^-400
+    # the products span 441 bits and fdot drops terms, as it does in the
+    # last row, where at q = 0 it lets 1 replace 2^-1000 and gives 0
     rows[3][5] = mpf(2) ** -150
     rows[4][5] = mpf(2) ** -400
     rows[5] = [mpf(2) ** -1000, mpf(1), mpf(-1)] + [mpf(0)] * (Q - 3)
-    want = _fdot_dft(rows, Q)
+    fdot_want = _fdot_dft(rows[:4], Q)
+    exact_want = _exact_dft(rows[4:], Q)
     values = np.empty((len(rows), Q), dtype=object)
     values[:] = rows
     grid = MagnitudeGrid(2, radial_grid(len(rows)), sphere_grid(2, Q), values)
     fdots = []
     monkeypatch.setattr(mp, "fdot", lambda *args: fdots.append(1) or type(mp).fdot(mp, *args))
     got = [[v._mpc_ for v in p.values] for p in angular_decompose(grid, 2)]
-    assert got == want and got[0][5] == (mpf(0)._mpf_, mpf(0)._mpf_)
-    assert len(fdots) == 2 * ((Q - 1) // 2 + 1)
+    assert [q[:4] for q in got] == fdot_want
+    assert [q[4:] for q in got] == exact_want
     with mp.workdps(WORK_DPS):
-        per_q, _ = extract._dft_twiddles(Q, mp.prec)
+        assert mp.make_mpf(got[0][5][0]) == mpf(2) ** -1000 / Q
+        per_q = extract._dft_twiddles(Q, mp.prec)
+    assert not fdots
     assert any(0 in C for C, _, _ in per_q) == (Q % 4 == 0)  # exact zeros at Q = 40
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_mp_dft_refuses_non_finite_rows(bad):
+    with mp.workdps(40):
+        values = np.empty((2, 9), dtype=object)
+        values[:] = [[mpf(k + 1) for k in range(9)] for _ in range(2)]
+        values[1, 4] = mpf(bad)
+    grid = MagnitudeGrid(2, radial_grid(2), sphere_grid(2, 9), values)
+    with pytest.raises(ValueError, match="finite"):
+        angular_decompose(grid, 2)
 
 
 def test_angular_decompose_rejects_nonuniform():
@@ -175,7 +216,7 @@ def test_qr_solve_error_against_120_digit_reference(M, q):
     with mp.workdps(WORK_DPS):
         cols = [[+v for v in col] for col in cols]
         rhs = [+v for v in rhs]
-        sol, cond, _, deficient = _mp_qr_solve(cols, rhs)
+        (sol,), cond, _, deficient = _mp_qr_solve(cols, [rhs])
     with mp.workdps(120):
         ref, _ = mp.qr_solve(mp.matrix([list(row) for row in zip(*cols)]), mp.matrix(rhs))
 
@@ -193,7 +234,7 @@ def test_qr_solve_reports_zero_and_dependent_columns():
         zero = [mpf(0)] * 12
         dependent = [ai + 2 * bi for ai, bi in zip(a, b)]
         rhs = [mpf(t % 3) for t in range(12)]
-        sol, cond, _, deficient = _mp_qr_solve([a, zero, b, dependent], rhs)
+        (sol,), cond, _, deficient = _mp_qr_solve([a, zero, b, dependent], [rhs])
     assert deficient == [1, 3]
     assert cond == math.inf
     assert sol[1] == 0 and sol[3] == 0
@@ -204,8 +245,7 @@ def test_qr_solve_doubles_with_its_right_hand_side():
     with mp.workdps(WORK_DPS):
         cols = _mp_columns(compatible_pairs(2, 6, 2), radial_grid(40), 2)
         rhs = [mpf(v) for v in rng.standard_normal(40)]
-        sol, _, res, _ = _mp_qr_solve(cols, rhs)
-        sol2, _, res2, _ = _mp_qr_solve(cols, [2 * v for v in rhs])
+        (sol, sol2), _, (res, res2), _ = _mp_qr_solve(cols, [rhs, [2 * v for v in rhs]])
         assert all(b == 2 * a for a, b in zip(sol, sol2))
     assert res2 == 2 * res
 
@@ -535,7 +575,7 @@ def _mp_joint_data(g, M):
             for (m, n), col in zip(pairs, base)
         ]
         rhs = [mpf(float(v)) for p in profiles for v in p.values]
-        sol, _, _, deficient = _mp_qr_solve(cols, rhs)
+        (sol,), _, _, deficient = _mp_qr_solve(cols, [rhs])
     assert not deficient
     gamma = np.zeros((M + 1, M + 1))
     for (m, n), v in zip(pairs, sol):
