@@ -4,6 +4,7 @@ All numbers are serialized with 17 significant digits so that write/read
 round trips are bit-faithful; writes are atomic (temp file + rename).
 """
 
+import math
 import os
 import tempfile
 
@@ -22,6 +23,14 @@ class FileFormatError(ValueError):
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
         self.line = line
+
+
+def _finite(x: str) -> float:
+    """float(x), refusing inf and nan."""
+    v = float(x)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite number {x!r}")
+    return v
 
 
 def _fmt(x: float) -> str:
@@ -106,7 +115,7 @@ def _read_records(text: str, magic: str, required: tuple, body):
                 m, j = int(args[0]), int(args[1])
                 if j in poles.setdefault(m, {}):
                     raise FileFormatError(f"repeated pole {m} {j}", i)
-                poles[m][j] = (i, [float(x) for x in args[2:]])
+                poles[m][j] = (i, [_finite(x) for x in args[2:]])
             elif not body(i, key, args):
                 raise FileFormatError(f"unknown key {key!r}", i)
         except FileFormatError:
@@ -156,7 +165,7 @@ def parse_field(text: str) -> HerglotzField:
     def body(i, key, args):
         if key != "coeff":
             return False
-        entries.append((i, int(args[0]), int(args[1]), float(args[2]), float(args[3])))
+        entries.append((i, int(args[0]), int(args[1]), _finite(args[2]), _finite(args[3])))
         return True
 
     head, basis, _ = _read_records(text, FIELD_MAGIC, ("dim", "max_degree", "basis"), body)
@@ -275,6 +284,10 @@ def parse_grid(text: str) -> MagnitudeGrid:
             f"{','.join(map(_fmt, layout[k]))}, got {','.join(map(_fmt, arr[k, :-1]))}",
             _numbered_rows(body)[k][0],
         )
+    bad = np.flatnonzero(~np.isfinite(arr[:, -1]))
+    if bad.size:
+        raise FileFormatError(f"non-finite value {_fmt(arr[bad[0], -1])}",
+                              _numbered_rows(body)[bad[0]][0])
     return MagnitudeGrid(dim, radii, grid, arr[:, -1].reshape(len(radii), n_nodes))
 
 
@@ -336,11 +349,11 @@ def parse_data(text: str):
             if q in fourier.setdefault(pair, {}):
                 raise FileFormatError(f"repeated fourier {q} record for pair {pair[0]} {pair[1]}", i)
             # complex() keeps the sign of a zero imaginary part; re + 1j * im does not
-            fourier[pair][q] = (i, complex(float(args[1]), float(args[2])))
+            fourier[pair][q] = (i, complex(_finite(args[1]), _finite(args[2])))
         elif pair in samples:
             raise FileFormatError(f"repeated samples record for pair {pair[0]} {pair[1]}", i)
         else:
-            samples[pair] = np.array([float(x) for x in args])
+            samples[pair] = np.array([_finite(x) for x in args])
         first_line.setdefault(key, i)
         return True
 

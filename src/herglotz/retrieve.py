@@ -218,7 +218,7 @@ def _finish(candidate: HerglotzField, data: MagnitudeData, branch: str, modes,
     synth = magnitude_coeffs(candidate, data.grid)
     scale = 1.0 + data.max_abs()
     residual = data.deviation(synth)
-    if residual > accept_tol * scale:
+    if not residual <= accept_tol * scale:  # NaN data or a NaN residual fails too
         raise InconsistentDataError(
             f"forward synthesis residual {residual:.3e} exceeds tolerance", residual
         )

@@ -466,6 +466,11 @@ _BROADCAST = "could not broadcast input array from shape (4,) into shape (3,)"
                  id="pole-degree-high"),
     pytest.param(6, "pole -1 1 0 0 1", "line 6: pole degree -1 is outside 0..max_degree 1",
                  id="pole-degree-negative"),
+    # the parent's reader took inf and nan, and sample wrote a NaN grid
+    pytest.param(10, "coeff 0 1 nan 0",
+                 "line 10: malformed 'coeff' record: non-finite number 'nan'", id="coeff-nan"),
+    pytest.param(7, "pole 1 1 0 0 inf",
+                 "line 7: malformed 'pole' record: non-finite number 'inf'", id="pole-inf"),
 ])
 def test_field_reader_errors(lineno, new, message):
     with pytest.raises(FileFormatError) as exc:
@@ -543,6 +548,12 @@ def test_field_reader_rejects_a_degree_without_poles():
                  id="pole-degree-short"),
     pytest.param(_DATA3, 3, "max_degree 0", "line 8: pole degree 1 is outside 0..max_degree 0",
                  id="pole-degree-high"),
+    # the parent's reader took inf and nan, and retrieve wrote a field from them
+    pytest.param(_DATA2, 6, "fourier 0 nan 0",
+                 "line 6: malformed 'fourier' record: non-finite number 'nan'", id="fourier-nan"),
+    pytest.param(_DATA3, 12, "samples 1 -inf",
+                 "line 12: malformed 'samples' record: non-finite number '-inf'",
+                 id="samples-inf"),
 ])
 def test_data_reader_errors(text, lineno, new, message):
     with pytest.raises(FileFormatError) as exc:
@@ -576,6 +587,9 @@ def test_data_reader_errors(text, lineno, new, message):
                  "line 3: row is off the grid layout: expected r,theta,phi = "
                  "0.18912427893638994,2.1862760354652839,1.5707963267948966, "
                  "got 0.18912427893638994,2.1862760354652839,nan", id="nan-d3"),
+    # the parent's reader took a NaN value, and extract wrote NaN data with exit 0
+    pytest.param(_edit(_GRID2, 3, _GRID2.splitlines()[2].rsplit(",", 1)[0] + ",nan"),
+                 "line 3: non-finite value nan", id="value-nan"),
     # the first of the two psi blocks of a resolution-2 grid: 1 psi needs 2 nodes
     pytest.param("\n".join(_GRID4.splitlines()[:9]) + "\n",
                  "8 nodes per radius make no d = 4 grid", id="nodes-d4"),
@@ -771,3 +785,4 @@ def test_given_d2_degree_below_the_content_exits_2(tmp_path, capsys, command):
                               "component 7 holds ")
     assert "above the rounding floor" in err[-1]
     assert not out.exists()
+

@@ -79,6 +79,17 @@ def test_solve_pair_inconsistent():
         solve_pair(-0.5, 0.0)
 
 
+@pytest.mark.parametrize("slot", [(0, 0, 6), (1, 1, 6), (1, 2, 9)])
+def test_retrieve_2d_refuses_nan_data(slot):
+    # the parent returned a field with residual nan from each of these; the
+    # slots send it down the zero-mean and the mean branches
+    data = magnitude_coeffs(random_field(2, 3, F2, seed=1))
+    table = data.table.copy()
+    table[slot] = np.nan
+    with pytest.raises(InconsistentDataError, match="residual nan"):
+        retrieve_2d(MagnitudeData(2, data.grid, table))
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.floats(min_value=0.0, max_value=3.0),
