@@ -615,6 +615,11 @@ def extract_magnitude_data(
     if M is None:
         M = estimate_max_degree(samples, d)
     check_degree(M)
+    if d == 2 and len(samples.grid) < 4 * M + 1:
+        raise DegreeUnresolvableError(
+            f"degree {M} unresolvable: its frequencies up to {2 * M} need at least "
+            f"{4 * M + 1} angles, the grid has {len(samples.grid)}"
+        )
     profiles = angular_decompose(samples, d)
     if d == 2:
         if method is None:

@@ -786,3 +786,20 @@ def test_given_d2_degree_below_the_content_exits_2(tmp_path, capsys, command):
     assert "above the rounding floor" in err[-1]
     assert not out.exists()
 
+
+@pytest.mark.parametrize("angles, degree", [(9, 3), (11, 4), (12, 3), (13, None)])
+def test_d2_extraction_needs_4m_plus_1_angles(tmp_path, capsys, angles, degree):
+    # the parent wrote 12-angle data without the +-6 frequencies, with exit 0
+    f, g, d = (tmp_path / n for n in ("u.field", "u.grid", "u.data"))
+    assert run(["gen", "--max-degree", "3", "--seed", "1", "--out", str(f)]) == 0
+    assert run(["sample", str(f), "--angular-nodes", str(angles), "--out", str(g)]) == 0
+    capsys.readouterr()
+    code = run(["extract", str(g), "--out", str(d)])
+    if degree is None:
+        assert code == 0 and "max_degree=3" in capsys.readouterr().out
+        return
+    assert code == 2 and not d.exists()
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: degree {degree} unresolvable: its frequencies up to {2 * degree} need at "
+        f"least {4 * degree + 1} angles, the grid has {angles}"
+    )
