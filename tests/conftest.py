@@ -6,18 +6,12 @@ import pytest
 import herglotz
 
 
-def process_tables():
-    """Every process-wide table of the herglotz modules: each object that a
-    module holds with a ``cache_clear`` (the functools.lru_cache tables)."""
-    modules = [importlib.import_module(f"herglotz.{info.name}")
-               for info in pkgutil.iter_modules(herglotz.__path__)]
-    return {obj for module in modules for obj in vars(module).values()
-            if callable(getattr(obj, "cache_clear", None))}
-
-
 @pytest.fixture
 def cold_tables():
-    """Empty every process-wide table, so that a test counting evaluations
-    does not depend on which tests ran before it."""
-    for table in process_tables():
-        table.cache_clear()
+    """Empty every process-wide table, each object a herglotz module holds with
+    a cache_clear (the functools.lru_cache tables), so that a test counting
+    evaluations does not depend on which tests ran before it."""
+    for info in pkgutil.iter_modules(herglotz.__path__):
+        for obj in vars(importlib.import_module(f"herglotz.{info.name}")).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()

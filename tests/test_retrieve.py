@@ -81,8 +81,8 @@ def test_solve_pair_inconsistent():
 
 @pytest.mark.parametrize("slot", [(0, 0, 6), (1, 1, 6), (1, 2, 9)])
 def test_retrieve_2d_refuses_nan_data(slot):
-    # the parent returned a field with residual nan from each of these; the
-    # slots send it down the zero-mean and the mean branches
+    # NaN passes a test of residual > tolerance; the slots send the data down
+    # the zero-mean and the mean branches
     data = magnitude_coeffs(random_field(2, 3, F2, seed=1))
     table = data.table.copy()
     table[slot] = np.nan
