@@ -8,19 +8,19 @@ followed by a radial unmixing of each profile over the Bessel-product dictionary
               J_{nu(m)}(r) J_{nu(n)}(r).
 
 The design matrices are generalized Vandermonde systems whose conditioning
-grows steeply with the truncation degree. Double-precision samples are
-unmixed in double precision: one kernel (_f64_lstsq) scales the columns to
-unit norm, factorizes them with numpy QR and takes one refinement step whose
-residual is accumulated in np.longdouble. It serves the d = 2 "float64"
-profile solves and the d >= 3 zonal joint solve, and it raises ExtractionRankError,
-with the condition estimate and the weak pairs, when that estimate exceeds
-CONDITION_WARN. Object arrays of mp samples, and the "lstsq" and "taylor"
-methods on request, take the 50-digit solves, which work in fixed point: the
-columns and the right-hand sides become Python integers scaled by
-2^(mp.prec + GUARD_BITS), and one least-squares kernel (_mp_qr_solve) serves
-both, with one factorization per design for all its right-hand sides. They
-take their precision from mpmath's global context: parallelize across
-processes, not threads.
+grows steeply with the truncation degree. Each solver has a factor and an
+apply step. Double samples take _f64_factor (unit-norm columns, numpy QR; above
+CONDITION_WARN it raises ExtractionRankError with the estimate and the weak
+pairs) and _f64_apply (one refinement step, residual in np.longdouble): the
+d = 2 "float64" profile solves and the d >= 3 zonal joint solve. Object arrays
+of mp samples, and "lstsq" and "taylor" on request, take _mp_factor and
+_mp_apply, which hold columns and right-hand sides as Python integers scaled by
+2^(mp.prec + GUARD_BITS). A design depends on (pairs, radii, d, mp.prec), not
+on the samples, so the per-profile factorizations are process-wide tables
+(_lstsq_design, _taylor_design, _float64_design, _DESIGN_TABLE_SIZE entries
+each); refused designs and the zonal joint solve are not tabled. The 50-digit
+solves take their precision from mpmath's global context and no table is
+locked: parallelize across processes, not threads.
 
 The d = 2 angular transform of mp samples is exactly rounded: each part is
 one integer dot product of the row and a twiddle, both held as integers on one
@@ -34,6 +34,7 @@ DegreeUnresolvableError when angular content lies above twice its estimate.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from operator import mul
@@ -42,9 +43,9 @@ import numpy as np
 from mpmath import mp, mpf
 from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_shift, round_nearest, to_fixed
 
-from .field import MagnitudeData, MagnitudeGrid, check_degree, nu_order
+from .field import MagnitudeData, MagnitudeGrid, check_degree, check_radii, nu_order
 from .harmonics import _polar_rule
-from .specfun import bessel_j_mp, bessel_row, gegenbauer
+from .specfun import _read_only, bessel_j_mp, bessel_row, gegenbauer
 
 WORK_DPS = 50
 # fraction bits beyond mp.prec carried by the fixed-point least-squares solve
@@ -59,6 +60,8 @@ DEGREE_CAP = 16
 INNER_FRAC = 0.05
 # (angles per circle, precision) twiddle tables kept by _dft_twiddles
 _TWIDDLE_TABLE_SIZE = 16
+# designs kept by each of _lstsq_design, _taylor_design and _float64_design
+_DESIGN_TABLE_SIZE = 32
 
 
 class ExtractionRankError(RuntimeError):
@@ -89,9 +92,7 @@ class RadialProfile:
     values: np.ndarray  # complex (d=2) or real (d>=3); may be an mpf object array
 
     def __post_init__(self):
-        self.radii = np.asarray(self.radii, dtype=float)
-        if np.any(self.radii <= 0) or np.any(np.diff(self.radii) <= 0):
-            raise ValueError("radii must be positive and strictly increasing")
+        self.radii = check_radii(self.radii)
 
 
 @dataclass
@@ -110,6 +111,8 @@ def radial_grid(count: int, eta: float = 1.0) -> np.ndarray:
     """Chebyshev-spaced radial nodes in (INNER_FRAC * eta, eta]."""
     if count < 1:
         raise ValueError("need at least one radial node")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"the ball radius eta must be positive and finite, got {eta}")
     k = np.arange(count)
     x = np.cos((2 * k + 1) * np.pi / (2 * count))
     lo = INNER_FRAC * eta
@@ -245,10 +248,7 @@ def _mp_columns(pairs, radii, d):
         for m in sorted({m for p in pairs for m in p})
     }
     pref = [2 * mp.pi / mpf(r) ** (d - 2) for r in radii]
-    cols = []
-    for (m, n) in pairs:
-        cols.append([pref[i] * jcache[m][i] * jcache[n][i] for i in range(len(radii))])
-    return cols
+    return [[pref[i] * jcache[m][i] * jcache[n][i] for i in range(len(radii))] for m, n in pairs]
 
 
 def _fixed(values, frac):
@@ -263,17 +263,16 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-def _mp_qr_solve(cols, rhss):
-    """Least squares via modified Gram-Schmidt (two passes) on normalized columns,
-    one factorization for every right-hand side in rhss.
+# qcols: the orthonormal columns; rows: the unit-norm columns by rows, for the residual
+_MpFactor = namedtuple("_MpFactor", "qcols R rows norms exps deficient cond")
 
-    Each column, and each right-hand side, is scaled by a power of two taken
-    from its largest entry and held as integers with F = mp.prec + GUARD_BITS
-    fraction bits; the factorization and the back substitutions run on those
-    integers. Returns (one solution per right-hand side, as mpf at the working
-    precision; the condition estimate from the R diagonal; one residual norm
-    per right-hand side; the rank-deficient columns).
-    """
+
+def _mp_factor(cols, labels=None):
+    """Modified Gram-Schmidt (two passes) on columns of mpf values, each scaled
+    by a power of two from its largest entry, normalized and held as integers
+    with F = mp.prec + GUARD_BITS fraction bits: an _MpFactor of tuples, with
+    the condition estimate from the R diagonal. Given the columns' labels,
+    rank-deficient columns raise ExtractionRankError."""
     F = mp.prec + GUARD_BITS
     scaled = [_fixed(col, F) for col in cols]
     norms = [math.isqrt(_dot(a, a)) for a, _ in scaled]
@@ -289,30 +288,41 @@ def _mp_qr_solve(cols, rhss):
                 v = [vt - ((c * qt) >> F) for vt, qt in zip(v, qi)]
         nr = math.isqrt(_dot(v, v))
         R[j][j] = nr
-        qcols.append([(x << F) // nr for x in v] if nr else v)
+        qcols.append(tuple((x << F) // nr for x in v) if nr else tuple(v))
     diag = [R[j][j] for j in range(ncols)]
     dmax = max(diag)
-    deficient = [j for j, dj in enumerate(diag) if dj * 10 ** (mp.dps - 8) <= dmax]
+    deficient = tuple(j for j, dj in enumerate(diag) if dj * 10 ** (mp.dps - 8) <= dmax)
     cond = dmax / min(diag) if min(diag) > 0 else math.inf
-    prec, rnd = mp.prec, round_nearest
+    if labels is not None and deficient:
+        raise ExtractionRankError([labels[j] for j in deficient])
+    return _MpFactor(tuple(qcols), tuple(map(tuple, R)), tuple(zip(*unit)), tuple(norms),
+                     tuple(e for _, e in scaled), deficient, cond)
+
+
+def _mp_apply(f, rhss):
+    """Least squares through the _mp_factor f for every right-hand side in rhss,
+    each held as integers as the columns are; deficient columns get 0. Returns
+    (one solution per right-hand side, as mpf at the working precision; one
+    residual norm per right-hand side)."""
+    F, prec, rnd, ncols = mp.prec + GUARD_BITS, mp.prec, round_nearest, len(f.qcols)
     sols, resids = [], []
     for rhs in rhss:
         b, eb = _fixed(rhs, F)
         x = [0] * ncols
         for i in range(ncols - 1, -1, -1):
-            if i not in deficient:
-                s = _dot(qcols[i], b) - _dot(R[i][i + 1:], x[i + 1:])
-                x[i] = s // R[i][i]
-        fit = [_dot(row, x) >> F for row in zip(*unit)]
+            if i not in f.deficient:
+                s = _dot(f.qcols[i], b) - _dot(f.R[i][i + 1:], x[i + 1:])
+                x[i] = s // f.R[i][i]
+        fit = [_dot(row, x) >> F for row in f.rows]
         resid = math.isqrt(sum((bt - ft) ** 2 for bt, ft in zip(b, fit)))
         # entry j of the solution is x_j / N_j * 2^(eb - e_j), rounded once
         sols.append([
             mp.make_mpf(mpf_shift(mpf_div(from_int(xj), from_int(nr), prec, rnd), eb - e))
             if nr else mpf(0)
-            for xj, nr, (_, e) in zip(x, norms, scaled)
+            for xj, nr, e in zip(x, f.norms, f.exps)
         ])
         resids.append(float(mp.ldexp(resid, eb - F)))
-    return sols, cond, resids, deficient
+    return sols, resids
 
 
 def _mp_parts(values):
@@ -324,60 +334,70 @@ def _mp_parts(values):
     return [mpf(float(v)) for v in arr.real], [mpf(float(v)) for v in arr.imag]
 
 
-def _taylor_gamma(pairs, profile, d):
-    """Triangular Taylor matching: fit even powers of r about 0 on the inner
-    third of the radial grid, then solve the series-coefficient system induced
-    by the leading orders r^{m+n+2alpha} of the product expansions."""
-    alpha = (d - 2) / 2.0
-    radii = profile.radii
-    n_inner = max(len(radii) // 3, min(len(radii), 8))
-    rin = [mpf(r) for r in radii[:n_inner]]
-    lead = {p: p[0] + p[1] for p in pairs}
-    lmin = min(lead.values())
-    lmax = max(lead.values())
-    # The margin beyond the highest leading order pushes the aliasing of the
-    # unmodeled (factorially decaying) series tail below the solve's noise
-    # floor; same-leading-order blocks are separated only by these rows.
-    K = min((lmax - lmin) // 2 + 1 + 12, n_inner - 1)
-    # power columns r^{lmin + 2k}; the d-dependent prefactor r^{-(d-2)} is
-    # absorbed by multiplying the profile by r^{d-2}
-    re, im = _mp_parts(profile.values[:n_inner])
-    re = [re[i] * rin[i] ** (d - 2) for i in range(n_inner)]
-    im = [im[i] * rin[i] ** (d - 2) for i in range(n_inner)]
-    pcols = [[r ** (lmin + 2 * k) for r in rin] for k in range(K)]
-    (cr, ci), _, _, _ = _mp_qr_solve(pcols, [re, im])
-    # series matrix S[k][j]: coefficient of r^(lmin+2k) in 2 pi J_{nu(m)} J_{nu(n)}
-    S = [[mpf(0)] * len(pairs) for _ in range(K)]
-    for j, (m, n) in enumerate(pairs):
-        s = m + n + 2 * alpha
-        nu1, nu2 = m + alpha, n + alpha
-        t = 2 * mp.pi / (mp.gamma(nu1 + 1) * mp.gamma(nu2 + 1)) / mpf(2) ** s
-        base = (m + n - lmin) // 2
-        kk = 0
-        while base + kk < K:
-            S[base + kk][j] = t
-            t = -t / 4 * (s + 2 * kk + 1) * (s + 2 * kk + 2) / (
-                (kk + 1) * (nu1 + kk + 1) * (nu2 + kk + 1) * (s + kk + 1)
-            )
-            kk += 1
-    s_cols = [[S[k][j] for k in range(K)] for j in range(len(pairs))]
-    (gr, gi), cond, _, defic = _mp_qr_solve(s_cols, [cr, ci])
-    gamma = {
-        p: complex(float(gr[j]), float(gi[j])) for j, p in enumerate(pairs)
-    }
-    return gamma, cond, defic
+@lru_cache(maxsize=_DESIGN_TABLE_SIZE)
+def _taylor_design(pairs, radii, d, prec):
+    """The _mp_factor of the Taylor matching's power columns on the inner radii
+    and of its series matrix S, for pairs on the radii (bytes) at precision prec."""
+    with mp.workprec(prec):
+        alpha = (d - 2) / 2.0
+        radii = np.frombuffer(radii)
+        n_inner = max(len(radii) // 3, min(len(radii), 8))
+        rin = [mpf(r) for r in radii[:n_inner]]
+        lmin, lmax = min(m + n for m, n in pairs), max(m + n for m, n in pairs)
+        # The margin beyond the highest leading order pushes the aliasing of the
+        # unmodeled (factorially decaying) series tail below the solve's noise
+        # floor; same-leading-order blocks are separated only by these rows.
+        K = min((lmax - lmin) // 2 + 1 + 12, n_inner - 1)
+        # power columns r^{lmin + 2k}; the d-dependent prefactor r^{-(d-2)} is
+        # absorbed by multiplying the profile by r^{d-2}
+        pcols = [[r ** (lmin + 2 * k) for r in rin] for k in range(K)]
+        # series matrix S[k][j]: coefficient of r^(lmin+2k) in 2 pi J_{nu(m)} J_{nu(n)},
+        # held by columns
+        S = [[mpf(0)] * K for _ in pairs]
+        for j, (m, n) in enumerate(pairs):
+            s = m + n + 2 * alpha
+            nu1, nu2 = m + alpha, n + alpha
+            t = 2 * mp.pi / (mp.gamma(nu1 + 1) * mp.gamma(nu2 + 1)) / mpf(2) ** s
+            base = (m + n - lmin) // 2
+            for kk in range(K - base):
+                S[j][base + kk] = t
+                t = -t / 4 * (s + 2 * kk + 1) * (s + 2 * kk + 2) / (
+                    (kk + 1) * (nu1 + kk + 1) * (nu2 + kk + 1) * (s + kk + 1)
+                )
+        return _mp_factor(pcols), _mp_factor(S, pairs)
+
+
+def _taylor_unmix(profile, pairs, d):
+    """The 50-digit triangular Taylor matching report for one profile: fit even
+    powers of r about 0 on the inner third of the radial grid, then solve the
+    series-coefficient system induced by the leading orders r^{m+n+2alpha} of
+    the product expansions."""
+    with mp.workdps(WORK_DPS):
+        power, series = _taylor_design(tuple(pairs), profile.radii.tobytes(), d, mp.prec)
+        n_inner = len(power.rows)
+        rin = [mpf(r) for r in profile.radii[:n_inner]]
+        parts = _mp_parts(profile.values[:n_inner])
+        coef, _ = _mp_apply(power, [[v * r ** (d - 2) for v, r in zip(p, rin)] for p in parts])
+        (gr, gi), _ = _mp_apply(series, coef)
+    gamma = {p: complex(float(gr[j]), float(gi[j])) for j, p in enumerate(pairs)}
+    return UnmixReport(profile.frequency, gamma, 0.0, series.cond, "taylor")
+
+
+@lru_cache(maxsize=_DESIGN_TABLE_SIZE)
+def _lstsq_design(pairs, radii, d, prec):
+    """The _mp_factor of the "lstsq" design of pairs on the radii (bytes) at
+    precision prec."""
+    with mp.workprec(prec):
+        return _mp_factor(_mp_columns(pairs, np.frombuffer(radii), d), pairs)
 
 
 def _lstsq_unmix(profile, pairs, d):
     """The 50-digit least-squares report for one profile."""
     with mp.workdps(WORK_DPS):
-        cols = _mp_columns(pairs, profile.radii, d)
-        re, im = _mp_parts(profile.values)
-        (gr, gi), cond, (res_r, res_i), defic = _mp_qr_solve(cols, [re, im])
-    if defic:
-        raise ExtractionRankError([pairs[j] for j in defic])
+        f = _lstsq_design(tuple(pairs), profile.radii.tobytes(), d, mp.prec)
+        (gr, gi), (res_r, res_i) = _mp_apply(f, _mp_parts(profile.values))
     gamma = {p: complex(float(gr[j]), float(gi[j])) for j, p in enumerate(pairs)}
-    return UnmixReport(profile.frequency, gamma, math.hypot(res_r, res_i), cond, "lstsq")
+    return UnmixReport(profile.frequency, gamma, math.hypot(res_r, res_i), f.cond, "lstsq")
 
 
 def _f64_columns(pairs, radii, d):
@@ -388,20 +408,14 @@ def _f64_columns(pairs, radii, d):
     return np.column_stack([pref * jrow[m] * jrow[n] for m, n in pairs])
 
 
-def _f64_lstsq(A, B, labels):
-    """Least squares A Y ~= B in double precision, one column of Y per column of B.
-
-    The columns of A are scaled to unit norm and factorized by numpy QR; the
-    condition estimate is max|R_jj| / min|R_jj| (inf for a vanishing column or
-    a singular R; a system with fewer rows than columns is padded with zero
-    rows, so its R diagonal shows the rank it lacks). Above CONDITION_WARN the
-    system is not solved: ExtractionRankError names the labels of the columns
-    whose |R_jj| falls below max|R_jj| / CONDITION_WARN. Otherwise one
-    refinement step takes the residual B - A Y with np.longdouble accumulation
-    and adds R^-1 Q^T of it to Y.
-
-    Returns (Y, residual norms per column of B, condition estimate).
-    """
+def _f64_factor(A, labels):
+    """Factorize a double design A: its columns are scaled to unit norm and
+    factorized by numpy QR. Returns the read-only (Q, R, unit-norm columns in
+    np.longdouble, column norms) and the condition estimate max|R_jj| / min|R_jj|
+    (inf for a vanishing column or a singular R; a system with fewer rows than
+    columns is padded with zero rows, so its R diagonal shows the rank it lacks).
+    Above CONDITION_WARN ExtractionRankError names the labels of the columns
+    whose |R_jj| falls below max|R_jj| / CONDITION_WARN."""
     rows, ncols = A.shape
     norms = np.linalg.norm(A, axis=0)
     U = A / np.where(norms > 0, norms, 1.0)
@@ -411,19 +425,33 @@ def _f64_lstsq(A, B, labels):
     if not cond <= CONDITION_WARN:
         weak = np.flatnonzero(diag < diag.max() / CONDITION_WARN)
         raise ExtractionRankError([labels[j] for j in weak], cond)
+    return tuple(map(_read_only, (Q, R, U.astype(np.longdouble), norms))), cond
+
+
+def _f64_apply(factor, B):
+    """Least squares A Y ~= B through an _f64_factor of A, one column of Y per
+    column of B; one refinement step takes the residual B - A Y with
+    np.longdouble accumulation and adds R^-1 Q^T of it to Y. Returns (Y,
+    residual norms per column of B, condition estimate)."""
+    (Q, R, Ul, norms), cond = factor
     Y = np.linalg.solve(R, Q.T @ B)
-    Ul = U.astype(np.longdouble)
     resid = B - Ul @ Y
     Y = Y + np.linalg.solve(R, Q.T @ resid.astype(float))
     resid = np.sqrt(np.sum((B - Ul @ Y) ** 2, axis=0))
     return Y / norms[:, None], resid.astype(float), cond
 
 
+@lru_cache(maxsize=_DESIGN_TABLE_SIZE)
+def _float64_design(pairs, radii, d):
+    """The _f64_factor of the "float64" design of pairs on the radii (bytes)."""
+    return _f64_factor(_f64_columns(pairs, np.frombuffer(radii), d), pairs)
+
+
 def _float64_unmix(profile, pairs, d):
     """The "float64" report for one profile, from the double Bessel values."""
     values = np.asarray(profile.values, dtype=complex)
-    x, resid, cond = _f64_lstsq(_f64_columns(pairs, profile.radii, d),
-                                np.column_stack([values.real, values.imag]), pairs)
+    x, resid, cond = _f64_apply(_float64_design(tuple(pairs), profile.radii.tobytes(), d),
+                                np.column_stack([values.real, values.imag]))
     gamma = {p: complex(x[j, 0], x[j, 1]) for j, p in enumerate(pairs)}
     return UnmixReport(profile.frequency, gamma, math.hypot(*resid), cond, "float64")
 
@@ -451,18 +479,10 @@ def radial_unmix(profile: RadialProfile, M: int, d: int, method: str = "lstsq") 
         raise ValueError(
             f"profile {q}: {len(profile.radii)} radial nodes cannot determine {len(pairs)} pairs"
         )
-    if method == "taylor":
-        with mp.workdps(WORK_DPS):
-            gamma, cond, defic = _taylor_gamma(pairs, profile, d)
-        if defic:
-            raise ExtractionRankError([pairs[j] for j in defic])
-        report = UnmixReport(q, gamma, 0.0, cond, method)
-    elif method == "float64":
-        report = _float64_unmix(profile, pairs, d)
-    elif method == "lstsq":
-        report = _lstsq_unmix(profile, pairs, d)
-    else:
+    unmix = {"taylor": _taylor_unmix, "float64": _float64_unmix, "lstsq": _lstsq_unmix}.get(method)
+    if unmix is None:
         raise ValueError(f"unknown unmixing method {method!r}")
+    report = unmix(profile, pairs, d)
     if report.condition > CONDITION_WARN:
         report.warnings.append(f"condition estimate {report.condition:.2e} above threshold")
     return report
@@ -500,7 +520,7 @@ def _extract_zonal_joint(profiles, M, grid):
     The per-component radial families contain exactly dependent Bessel-product
     quadruples (see radial_unmix), so single components cannot be unmixed in
     isolation; the coupled system across components is well conditioned.
-    _f64_lstsq raises ExtractionRankError when it is not.
+    _f64_factor raises ExtractionRankError when it is not.
     """
     d = grid.dim
     pairs = [(m, n) for m in range(M + 1) for n in range(m, M + 1)]
@@ -515,7 +535,8 @@ def _extract_zonal_joint(profiles, M, grid):
     # rows: radii within each used component; columns: pairs
     cols = mult[:, None, :] * _f64_columns(pairs, used[0].radii, d)
     rhs = np.concatenate([np.asarray(p.values, dtype=float) for p in used])
-    x, resid, cond = _f64_lstsq(cols.reshape(len(rhs), len(pairs)), rhs[:, None], pairs)
+    x, resid, cond = _f64_apply(_f64_factor(cols.reshape(len(rhs), len(pairs)), pairs),
+                                rhs[:, None])
     reports = [UnmixReport(-1, dict(zip(pairs, x[:, 0].tolist())), float(resid[0]), cond,
                            "joint-float64")]
     for prof in rest:

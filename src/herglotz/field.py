@@ -37,6 +37,17 @@ def check_degree(max_degree: int):
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
 
 
+def check_radii(radii) -> np.ndarray:
+    """radii as a float array; ValueError unless finite (naming the first value
+    that is not), positive and strictly increasing."""
+    radii = np.asarray(radii, dtype=float)
+    if (bad := radii[~np.isfinite(radii)]).size:
+        raise ValueError(f"non-finite radius {bad[0]}")
+    if np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
+        raise ValueError("radii must be positive and strictly increasing")
+    return radii
+
+
 @dataclass(eq=False)
 class HerglotzField:
     """Truncated coefficient table of a Herglotz field; immutable by convention."""
@@ -565,9 +576,7 @@ class MagnitudeGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        self.radii = np.asarray(self.radii, dtype=float)
-        if np.any(np.diff(self.radii) <= 0) or np.any(self.radii <= 0):
-            raise ValueError("radii must be strictly increasing and positive")
+        self.radii = check_radii(self.radii)
 
 
 def sample_magnitude(
@@ -579,7 +588,7 @@ def sample_magnitude(
     precision and returned as an object array of mpf values, which the
     extraction module consumes without rounding to double.
     """
-    radii = np.asarray(radii, dtype=float)
+    radii = check_radii(radii)
     grid = sphere_grid(u.dim, angular)
     if dps is None:
         vals = np.abs(eval_field_grid(u, radii, grid.nodes)) ** 2

@@ -375,7 +375,7 @@ _PIPELINES = {
 }
 
 
-def test_warm_tables_write_the_bytes_of_cold_ones(tmp_path, capsys, monkeypatch, cold_tables):
+def test_warm_tables_write_the_bytes_of_cold_ones(tmp_path, capsys, monkeypatch):
     # the cold pass starts from empty process tables (grids, basis values, pole
     # tables, p_alpha polynomials, Bessel rows); the warm pass reads what the
     # cold one left, in the other order. Each dimension has its own poles and

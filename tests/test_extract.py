@@ -22,7 +22,8 @@ from herglotz.extract import (
     radial_unmix,
     _gegenbauer_triples,
     _mp_columns,
-    _mp_qr_solve,
+    _mp_apply,
+    _mp_factor,
 )
 from herglotz.field import (
     HerglotzField,
@@ -122,7 +123,7 @@ def _exact_dft(rows, Q):
 
 
 @pytest.mark.parametrize("Q", [17, 25, 40])
-def test_mp_dft_is_exactly_rounded(Q, monkeypatch, cold_tables):
+def test_mp_dft_is_exactly_rounded(Q, monkeypatch):
     rng = np.random.default_rng(Q)
     with mp.workdps(40):
         rows = [[3 * mpf(x) ** 2 for x in rng.standard_normal(Q)] for _ in range(6)]
@@ -216,14 +217,15 @@ def test_qr_solve_error_against_120_digit_reference(M, q):
     with mp.workdps(WORK_DPS):
         cols = [[+v for v in col] for col in cols]
         rhs = [+v for v in rhs]
-        (sol,), cond, _, deficient = _mp_qr_solve(cols, [rhs])
+        f = _mp_factor(cols)
+        (sol,), _ = _mp_apply(f, [rhs])
     with mp.workdps(120):
         ref, _ = mp.qr_solve(mp.matrix([list(row) for row in zip(*cols)]), mp.matrix(rhs))
 
         def error(y):
             return max(abs(y[j] - x[j]) for j in range(len(x))) / max(abs(v) for v in x)
 
-        assert not deficient and 1e2 < cond < 1e10
+        assert not f.deficient and 1e2 < f.cond < 1e10
         assert error(sol) <= 10 * error(ref)
 
 
@@ -234,9 +236,10 @@ def test_qr_solve_reports_zero_and_dependent_columns():
         zero = [mpf(0)] * 12
         dependent = [ai + 2 * bi for ai, bi in zip(a, b)]
         rhs = [mpf(t % 3) for t in range(12)]
-        (sol,), cond, _, deficient = _mp_qr_solve([a, zero, b, dependent], [rhs])
-    assert deficient == [1, 3]
-    assert cond == math.inf
+        f = _mp_factor([a, zero, b, dependent])
+        (sol,), _ = _mp_apply(f, [rhs])
+    assert f.deficient == (1, 3)
+    assert f.cond == math.inf
     assert sol[1] == 0 and sol[3] == 0
 
 
@@ -245,7 +248,7 @@ def test_qr_solve_doubles_with_its_right_hand_side():
     with mp.workdps(WORK_DPS):
         cols = _mp_columns(compatible_pairs(2, 6, 2), radial_grid(40), 2)
         rhs = [mpf(v) for v in rng.standard_normal(40)]
-        (sol, sol2), _, (res, res2), _ = _mp_qr_solve(cols, [rhs, [2 * v for v in rhs]])
+        (sol, sol2), (res, res2) = _mp_apply(_mp_factor(cols), [rhs, [2 * v for v in rhs]])
         assert all(b == 2 * a for a, b in zip(sol, sol2))
     assert res2 == 2 * res
 
@@ -523,7 +526,111 @@ def test_default_extraction_of_double_grids_runs_in_float64(monkeypatch):
     assert calls == []
 
 
-def test_extraction_evaluates_each_bessel_row_once(monkeypatch, cold_tables):
+DESIGN_TABLES = {"float64": "_float64_design", "lstsq": "_lstsq_design", "taylor": "_taylor_design"}
+
+
+def _count_design_work(monkeypatch):
+    """Count bessel_j_mp calls and factorizations made through extract."""
+    counts = {"bessel_j_mp": 0, "_mp_factor": 0, "_f64_factor": 0}
+    for name in counts:
+        original = getattr(extract, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(extract, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("method", ["float64", "lstsq", "taylor"])
+def test_warm_extraction_matches_a_cold_one(method, monkeypatch):
+    # a design's factorization depends on (pairs, radii, d, precision) only, so
+    # a second extraction of the grid reads every factorization from its table
+    u = random_field(2, 3, F2, seed=45)
+    grid = sample_magnitude(u, radial_grid(24), 17, dps=None if method == "float64" else 40)
+    counts = _count_design_work(monkeypatch)
+    cold, cold_reports = extract_magnitude_data(grid, 2, 3, method=method)
+    assert counts["_mp_factor" if method != "float64" else "_f64_factor"] > 0
+    assert (counts["bessel_j_mp"] > 0) == (method == "lstsq")
+    counts.update(dict.fromkeys(counts, 0))
+    warm, warm_reports = extract_magnitude_data(grid, 2, 3, method=method)
+    assert counts == {"bessel_j_mp": 0, "_mp_factor": 0, "_f64_factor": 0}
+    assert np.array_equal(warm.table, cold.table)
+    # gamma, residual, condition, method and warnings
+    assert warm_reports == cold_reports
+    table = getattr(extract, DESIGN_TABLES[method]).cache_info()
+    assert table.currsize == table.misses == 7 and table.hits == 7
+
+
+@pytest.mark.parametrize("method", ["float64", "lstsq", "taylor"])
+def test_design_tables_key_on_radii_dimension_and_precision(method, monkeypatch):
+    # q = 0, M = 1 has the pairs (0, 0) and (1, 1) in d = 2 and in d = 3
+    table = getattr(extract, DESIGN_TABLES[method])
+    radii = radial_grid(12)
+    values = np.linspace(1.0, 2.0, 12)
+    radial_unmix(RadialProfile(2, 0, radii, values), 1, 2, method)
+    # the same radii in another array, with other samples, read the same entry
+    radial_unmix(RadialProfile(2, 0, radii.copy(), 2 * values), 1, 2, method)
+    assert (table.cache_info().misses, table.cache_info().hits) == (1, 1)
+    radial_unmix(RadialProfile(2, 0, radii * 1.01, values), 1, 2, method)
+    radial_unmix(RadialProfile(3, 0, radii, values), 1, 3, method)
+    assert table.cache_info().misses == 3
+    monkeypatch.setattr(extract, "WORK_DPS", 60)
+    radial_unmix(RadialProfile(2, 0, radii, values), 1, 2, method)
+    # float64 designs do not depend on the precision of the mp solves
+    info = table.cache_info()
+    assert (info.misses, info.hits) == ((3, 2) if method == "float64" else (4, 1))
+
+
+def _frozen(x):
+    return isinstance(x, (int, float)) or isinstance(x, tuple) and all(map(_frozen, x))
+
+
+def test_tabled_factors_refuse_writes():
+    radii = radial_grid(12)
+    pairs = ((0, 0), (1, 1))
+    factors, cond = extract._float64_design(pairs, radii.tobytes(), 2)
+    assert len(factors) == 4 and cond > 1
+    for a in factors:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0.0
+    with mp.workdps(WORK_DPS):
+        designs = [extract._lstsq_design(pairs, radii.tobytes(), 2, mp.prec),
+                   *extract._taylor_design(pairs, radii.tobytes(), 2, mp.prec)]
+    # integers held in tuples, and the condition estimate
+    assert all(_frozen(f) for f in designs)
+    with pytest.raises(AttributeError):
+        designs[0].cond = 1.0
+
+
+@pytest.mark.parametrize("method", ["float64", "lstsq", "taylor"])
+def test_refused_designs_raise_the_same_error_on_each_repeat(method):
+    # the exactly dependent d = 3 quadruple of test_d3_single_component_collision
+    u = random_field(3, 3, Z3, seed=6, zonal=True)
+    g = sample_magnitude(u, radial_grid(40), 10)
+    prof = [p for p in angular_decompose(g, 3) if p.frequency == 2][0]
+    errors = []
+    for _ in range(3):
+        with pytest.raises(ExtractionRankError) as exc:
+            radial_unmix(prof, 3, 3, method)
+        errors.append((exc.value.pairs, exc.value.condition))
+    assert errors[0][0] and errors == errors[:1] * 3
+    assert (errors[0][1] is None) == (method != "float64")
+    # a refused design is not tabled
+    assert getattr(extract, DESIGN_TABLES[method]).cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("method", ["float64", "lstsq", "taylor"])
+def test_design_tables_keep_their_bound(method):
+    radii = radial_grid(6)
+    for k in range(extract._DESIGN_TABLE_SIZE + 5):
+        radial_unmix(RadialProfile(2, 0, radii * (1 + k / 1000), np.ones(6)), 1, 2, method)
+    table = getattr(extract, DESIGN_TABLES[method]).cache_info()
+    assert table.currsize == extract._DESIGN_TABLE_SIZE
+
+
+def test_extraction_evaluates_each_bessel_row_once(monkeypatch):
     # the degree estimate unmixes all 13 profiles at each candidate degree and
     # the extraction once more, but each order's row on the radii is evaluated
     # once, and sampling on the same radii reads the same rows
@@ -575,8 +682,9 @@ def _mp_joint_data(g, M):
             for (m, n), col in zip(pairs, base)
         ]
         rhs = [mpf(float(v)) for p in profiles for v in p.values]
-        (sol,), _, _, deficient = _mp_qr_solve(cols, [rhs])
-    assert not deficient
+        f = _mp_factor(cols)
+        (sol,), _ = _mp_apply(f, [rhs])
+    assert not f.deficient
     gamma = np.zeros((M + 1, M + 1))
     for (m, n), v in zip(pairs, sol):
         gamma[m, n] = float(v)

@@ -5,9 +5,10 @@ import pytest
 from mpmath import mp, mpc
 
 from herglotz import harmonics
-from herglotz.extract import angular_decompose, radial_grid
+from herglotz.extract import RadialProfile, angular_decompose, radial_grid
 from herglotz.field import (
     HerglotzField,
+    MagnitudeGrid,
     add_fields,
     conjugate_field,
     degree_power,
@@ -73,7 +74,7 @@ def test_eval_continuity_at_zero():
     assert devs[2] < 1e-5
 
 
-def test_point_wise_evaluation_leaves_the_value_table_bounded(cold_tables):
+def test_point_wise_evaluation_leaves_the_value_table_bounded():
     u = random_field(3, 1, BasisSpec("zonal", 3), seed=5)
     data = magnitude_coeffs(u)
     table = harmonics._value_table.cache_info
@@ -389,6 +390,32 @@ def test_field_validation():
         HerglotzField(2, 0, F2, [np.zeros(2, complex)])
     with pytest.raises(ValueError):
         HerglotzField(3, 0, F2, [np.zeros(1, complex)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_radii_are_refused_by_value(bad):
+    # np.diff comparisons with NaN are false, so a NaN radius once passed the
+    # ordering check, and extraction then failed with a series ConvergenceError
+    radii = np.array([0.5, bad, 0.9])
+    u = random_field(2, 2, F2, seed=1)
+    for build in (
+        lambda: MagnitudeGrid(2, radii, sphere_grid(2, 9), np.ones((3, 9))),
+        lambda: RadialProfile(2, 0, radii, np.ones(3)),
+        lambda: sample_magnitude(u, radii, 9),
+        lambda: sample_magnitude(u, radii, 9, dps=30),
+    ):
+        with pytest.raises(ValueError, match=f"non-finite radius {bad}"):
+            build()
+    for radii in ([0.5, 0.5], [-0.5, 0.5], [0.9, 0.5]):
+        with pytest.raises(ValueError, match="radii must be positive and strictly increasing"):
+            RadialProfile(2, 0, radii, np.ones(2))
+
+
+@pytest.mark.parametrize("eta", [-1.0, 0.0, math.nan, math.inf])
+def test_radial_grid_refuses_a_ball_radius_that_is_not_positive_and_finite(eta):
+    with pytest.raises(ValueError, match=f"eta must be positive and finite, got {eta}"):
+        radial_grid(4, eta=eta)
+    assert np.all(radial_grid(4, eta=2.0) > 0)
 
 
 def test_array_holding_dataclasses_compare_by_identity():

@@ -222,7 +222,7 @@ def test_polar_rule_reads_the_one_gauss_legendre_rule():
     assert t is sphere_grid(3, 9).polar_t
 
 
-def test_basis_values_are_evaluated_once_per_basis_and_node_array(monkeypatch, cold_tables):
+def test_basis_values_are_evaluated_once_per_basis_and_node_array(monkeypatch):
     evaluate = harmonics._evaluate
     calls = []
 
@@ -253,7 +253,7 @@ def test_basis_values_are_evaluated_once_per_basis_and_node_array(monkeypatch, c
 
 
 @pytest.mark.parametrize("kind, dim", [("fourier2d", 2), ("palpha", 3), ("zonal", 3)])
-def test_fresh_bases_share_one_value_table_entry(kind, dim, cold_tables):
+def test_fresh_bases_share_one_value_table_entry(kind, dim):
     nodes = sphere_grid(dim, 6).nodes
     first = BasisSpec(kind, dim).values(2, nodes)
     assert BasisSpec(kind, dim).values(2, nodes) is first
@@ -261,7 +261,7 @@ def test_fresh_bases_share_one_value_table_entry(kind, dim, cold_tables):
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
-def test_explicit_pole_tables_keep_their_own_value_table_entries(cold_tables):
+def test_explicit_pole_tables_keep_their_own_value_table_entries():
     nodes = sphere_grid(3, 6).nodes
     poles = default_poles(3, 2)
     default = BasisSpec("zonal", 3).values(2, nodes)
@@ -304,7 +304,7 @@ def test_one_recurrence_per_degree_matches_a_per_pole_loop(d, m):
         assert np.array_equal(BasisSpec("zonal", d).values(m, theta), per_pole)
 
 
-def test_p_alpha_polynomials_are_built_once_per_process(monkeypatch, cold_tables):
+def test_p_alpha_polynomials_are_built_once_per_process(monkeypatch):
     calls = []
     monkeypatch.setattr(harmonics, "p_alpha", lambda a, d: calls.append(a) or p_alpha(a, d))
     first, second = BasisSpec("palpha", 3), BasisSpec("palpha", 3)
@@ -315,7 +315,7 @@ def test_p_alpha_polynomials_are_built_once_per_process(monkeypatch, cold_tables
     assert len(calls) == harmonic_dim(3, 3) + harmonic_dim(4, 3)
 
 
-def test_basis_value_table_keeps_its_bound(cold_tables):
+def test_basis_value_table_keeps_its_bound():
     spec = BasisSpec("palpha", 3)
     pts = sphere_grid(3, 12).nodes
     for k in range(_TABLE_SIZE + 10):

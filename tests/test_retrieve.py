@@ -337,7 +337,7 @@ def test_retrieve_3d_mean_complex_field():
         assert result.residual < 1e-9
 
 
-def test_zonal_chain_evaluates_each_basis_function_once_per_grid(monkeypatch, cold_tables):
+def test_zonal_chain_evaluates_each_basis_function_once_per_grid(monkeypatch):
     evaluate = harmonics._evaluate
     keys = []
 

@@ -110,7 +110,7 @@ def test_bessel_j_refuses_a_cancelled_sum():
         bessel_j(nu, np.linspace(0.0, 12.0, 49))
 
 
-def test_bessel_rows_are_evaluated_once_and_shared(monkeypatch, cold_tables):
+def test_bessel_rows_are_evaluated_once_and_shared(monkeypatch):
     calls = []
     monkeypatch.setattr(specfun, "bessel_j", lambda nu, r: calls.append(nu) or bessel_j(nu, r))
     radii = radial_grid(48)
@@ -132,7 +132,7 @@ def test_bessel_rows_are_evaluated_once_and_shared(monkeypatch, cold_tables):
     assert len(calls) == 6 and specfun._bessel_row.cache_info().currsize == 3
 
 
-def test_bessel_row_table_keeps_its_bound(cold_tables):
+def test_bessel_row_table_keeps_its_bound():
     radii = radial_grid(8)
     for k in range(_ROW_TABLE_SIZE + 10):
         bessel_row(k % 3, radii * (1 + k / 1000))
