@@ -26,7 +26,10 @@ The d = 2 angular transform of mp samples is exactly rounded: each part is
 one integer dot product of the row and a twiddle, both held as integers on one
 exponent, rounded once and then divided by Q. The twiddles are a process-wide
 table per (Q, precision), _dft_twiddles. A row holding inf or nan raises
-ValueError.
+ValueError. angular_decompose keeps the profiles of every grid, mp, double or
+d >= 3, per MagnitudeGrid object while it lives (_PROFILES, a weak-key table):
+the grid's values are read-only, so the lstsq and taylor extractions of one
+grid, or a degree estimate and the extraction after it, share one transform.
 
 estimate_max_degree reads only residuals, so it unmixes with the "float64"
 method whatever the samples' precision; in both dimensions it raises
@@ -34,6 +37,7 @@ DegreeUnresolvableError when angular content lies above twice its estimate.
 """
 
 import math
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -123,6 +127,11 @@ def radial_grid(count: int, eta: float = 1.0) -> np.ndarray:
 # angular decomposition
 
 
+# MagnitudeGrid -> the tuple of its angular_decompose profiles, while it lives;
+# its values are read-only, so the entry cannot go stale
+_PROFILES = weakref.WeakKeyDictionary()
+
+
 def _is_uniform_angles(angles, count) -> bool:
     expected = 2 * np.pi * np.arange(count) / count
     return np.allclose(np.sort(angles % (2 * np.pi)), expected, atol=1e-9)
@@ -177,9 +186,22 @@ def angular_decompose(samples: MagnitudeGrid, d: int) -> list:
     sphere_grid: the samples of each polar node are averaged over its S^{d-2}
     nodes and projected, with the polar rule's weights, onto the Gegenbauer
     polynomials C^lam_q(x_d), lam = d/2 - 1, of the last coordinate.
+
+    The profiles are computed once per grid object and kept, with read-only
+    values, while the grid lives; each call returns a new list of them.
     """
     if d != samples.dim:
         raise ValueError("dimension mismatch with the sample grid")
+    profiles = _PROFILES.get(samples)
+    if profiles is None:
+        profiles = _PROFILES[samples] = tuple(_decompose(samples, d))
+        for p in profiles:
+            _read_only(p.values)
+    return list(profiles)
+
+
+def _decompose(samples, d):
+    """The profiles of angular_decompose, computed afresh."""
     grid = samples.grid
     if d == 2:
         if grid.angles is None or not _is_uniform_angles(grid.angles, len(grid)):

@@ -13,6 +13,7 @@ data of a field is the family of real functions Re c_{m,n} determined by
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -21,7 +22,7 @@ from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_pow_int, round_nearest
 
 from . import harmonics
 from .harmonics import BasisSpec, SphereGrid, harmonic_dim, sphere_grid, surface_measure
-from .specfun import _read_only, bessel_j, bessel_j_mp, bessel_row
+from .specfun import _ROW_TABLE_SIZE, _read_only, bessel_j, bessel_j_mp, bessel_row
 
 WORKING_RADIUS = 1.0
 COEFF_TOL = 1e-9  # exact-coefficient comparisons
@@ -577,6 +578,21 @@ class MagnitudeGrid:
 
     def __post_init__(self):
         self.radii = check_radii(self.radii)
+        # a read-only copy: extract keeps the profiles of each grid object
+        self.values = _read_only(np.array(self.values))
+        if self.values.shape != (len(self.radii), len(self.grid)):
+            raise ValueError(
+                f"values have shape {self.values.shape}; {len(self.radii)} radii and "
+                f"{len(self.grid)} sphere nodes need {(len(self.radii), len(self.grid))}"
+            )
+
+
+@lru_cache(maxsize=_ROW_TABLE_SIZE)
+def _mp_bessel_row(m, radii, prec):
+    """The raw libmp values of bessel_j_mp(m, r) for the radii (bytes) at
+    precision prec, as a tuple; shared across the process."""
+    with mp.workprec(prec):
+        return tuple(bessel_j_mp(m, mpf(r))._mpf_ for r in np.frombuffer(radii))
 
 
 def sample_magnitude(
@@ -584,9 +600,12 @@ def sample_magnitude(
 ) -> MagnitudeGrid:
     """Sample |u|^2 on the product grid of ``radii`` and an angular grid.
 
-    With ``dps`` set (d = 2 only) the samples are computed in arbitrary
-    precision and returned as an object array of mpf values, which the
-    extraction module consumes without rounding to double.
+    With ``dps`` set (d = 2 only, a positive number of digits) the samples
+    are computed in arbitrary precision and returned as an object array of mpf
+    values, which the extraction module consumes without rounding to double.
+    Their Bessel rows J_m on the radii are a process-wide table keyed on (m,
+    radii, precision), _mp_bessel_row, of _ROW_TABLE_SIZE entries, so fields
+    sampled on shared radii at one precision compute them once.
     """
     radii = check_radii(radii)
     grid = sphere_grid(u.dim, angular)
@@ -595,10 +614,12 @@ def sample_magnitude(
         return MagnitudeGrid(u.dim, radii, grid, vals)
     if u.dim != 2:
         raise ValueError("high-precision sampling is only implemented for d = 2")
+    if dps < 1:
+        raise ValueError(f"dps must be a positive number of digits, got {dps}")
     with mp.workdps(dps):
         degrees = range(u.max_degree + 1)
-        js = [[bessel_j_mp(m, mpf(r))._mpf_ for r in radii] for m in degrees]
-        js_at_radius = list(zip(*js))
+        js_at_radius = list(zip(*(_mp_bessel_row(m, radii.tobytes(), mp.prec)
+                                  for m in degrees)))
         coeffs = [[mpc(c) for c in u.coeffs[m]] for m in degrees]
         vals = np.empty((len(radii), angular), dtype=object)
         pref = (2 * mp.pi)._mpf_

@@ -647,6 +647,56 @@ def test_extraction_evaluates_each_bessel_row_once(monkeypatch):
     assert np.array_equal(again.values, grid.values) and len(calls) == 6
 
 
+def test_angular_decompose_transforms_each_grid_once(monkeypatch):
+    # the lstsq and taylor extractions of one 40-digit grid share its profiles
+    calls = []
+    original = extract._mp_dft
+    monkeypatch.setattr(extract, "_mp_dft", lambda *a: calls.append(1) or original(*a))
+    u = random_field(2, 6, F2, seed=46)
+    grid = sample_magnitude(u, radial_grid(64), 40, dps=40)
+    first = angular_decompose(grid, 2)
+    second = angular_decompose(grid, 2)
+    assert len(calls) == 64
+    assert first is not second and len(first) == len(second) == 20
+    for p, q in zip(first, second):
+        assert p.frequency == q.frequency and [v._mpc_ for v in p.values] == [
+            v._mpc_ for v in q.values
+        ]
+        with pytest.raises(ValueError, match="read-only"):
+            p.values[0] = p.values[1]
+    first.pop()
+    assert len(angular_decompose(grid, 2)) == 20
+    for method in ("lstsq", "taylor"):
+        extract_magnitude_data(grid, 2, 6, method=method)
+    assert len(calls) == 64
+    # keyed on the grid object: a copy with equal values runs its own transform
+    copy = MagnitudeGrid(2, grid.radii, grid.grid, grid.values)
+    again = angular_decompose(copy, 2)
+    assert len(calls) == 128
+    assert [[v._mpc_ for v in p.values] for p in again] == [
+        [v._mpc_ for v in p.values] for p in second
+    ]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_angular_decompose_of_double_grids_is_kept_per_grid(dim, monkeypatch):
+    if dim == 2:
+        grid = sample_magnitude(random_field(2, 3, F2, seed=47), radial_grid(24), 17)
+    else:
+        u = random_field(3, 2, Z3, seed=47, zonal=True)
+        grid = sample_magnitude(u, radial_grid(16), 8)
+    first = angular_decompose(grid, dim)
+    # the dimension is checked before the profiles are looked up
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        angular_decompose(grid, 5 - dim)
+    monkeypatch.setattr(extract, "_decompose", None)
+    second = angular_decompose(grid, dim)
+    assert first == second and first is not second
+    for p in second:
+        with pytest.raises(ValueError, match="read-only"):
+            p.values[0] = 0.0
+
+
 def test_default_extraction_of_mp_grids_stays_at_50_digits():
     u = random_field(2, 3, F2, seed=44)
     g = sample_magnitude(u, radial_grid(32), 17, dps=40)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpc
 
-from herglotz import harmonics
+from herglotz import field, harmonics
 from herglotz.extract import RadialProfile, angular_decompose, radial_grid
 from herglotz.field import (
     HerglotzField,
@@ -376,6 +376,71 @@ def test_sample_magnitude_mp_against_independent_evaluation():
     for prof in angular_decompose(g, 2):
         mp_values = prof.values.astype(complex)
         assert np.abs(mp_values - coef[:, prof.frequency]).max() <= 1e-14 * scale
+
+
+def test_warm_mp_sampling_reads_its_bessel_rows_from_the_table(monkeypatch):
+    # the rows depend on (order, radii, precision) only, so a second field on
+    # the same radii computes none, and its samples are those of cold tables
+    calls = []
+    original = field.bessel_j_mp
+    monkeypatch.setattr(field, "bessel_j_mp", lambda *a: calls.append(a) or original(*a))
+    radii = radial_grid(24)
+    u, v = random_field(2, 4, F2, seed=70), random_field(2, 4, F2, seed=71)
+    sample_magnitude(u, radii, 17, dps=40)
+    assert len(calls) == 5 * 24
+    warm = sample_magnitude(v, radii.copy(), 17, dps=40)
+    assert len(calls) == 5 * 24
+    field._mp_bessel_row.cache_clear()
+    cold = sample_magnitude(v, radii, 17, dps=40)
+    assert len(calls) == 2 * 5 * 24
+    assert [x._mpf_ for x in warm.values.flat] == [x._mpf_ for x in cold.values.flat]
+
+
+def test_mp_sampling_rows_key_on_the_precision():
+    u = random_field(2, 2, F2, seed=72)
+    radii = radial_grid(8)
+    g30 = sample_magnitude(u, radii, 9, dps=30)
+    g40 = sample_magnitude(u, radii, 9, dps=40)
+    info = field._mp_bessel_row.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (6, 0, 6)
+    field._mp_bessel_row.cache_clear()
+    assert [x._mpf_ for x in sample_magnitude(u, radii, 9, dps=30).values.flat] == [
+        x._mpf_ for x in g30.values.flat
+    ]
+    assert any(a != b for a, b in zip(g30.values.flat, g40.values.flat))
+
+
+@pytest.mark.parametrize("dps", [0, -5])
+def test_sample_magnitude_refuses_a_dps_below_one(dps):
+    # these once returned samples of a digit or two: 3.0 and 2.0 where 40
+    # digits give 3.5828
+    u = random_field(2, 2, F2, seed=60)
+    with pytest.raises(ValueError, match=f"dps must be a positive number of digits, got {dps}"):
+        sample_magnitude(u, np.array([0.1, 0.5, 1.0]), 9, dps=dps)
+
+
+@pytest.mark.parametrize("dps", [None, 40])
+def test_magnitude_grid_checks_the_shape_of_its_values(dps):
+    # with one angle column dropped, this 24 x 13 grid once extracted without
+    # an error, to a largest residual of 0.11 (double) or 1.34 (mp)
+    g = sample_magnitude(random_field(2, 3, F2, seed=73), radial_grid(24), 13, dps=dps)
+    with pytest.raises(ValueError, match=r"shape \(24, 12\); 24 radii and 13 sphere nodes "
+                                         r"need \(24, 13\)"):
+        MagnitudeGrid(2, g.radii, g.grid, g.values[:, :12])
+    with pytest.raises(ValueError, match=r"shape \(13, 24\)"):
+        MagnitudeGrid(2, g.radii, g.grid, g.values.T)
+
+
+def test_magnitude_grid_values_are_read_only_and_its_own():
+    vals = np.ones((3, 9))
+    g = MagnitudeGrid(2, [0.1, 0.5, 1.0], sphere_grid(2, 9), vals)
+    with pytest.raises(ValueError, match="read-only"):
+        g.values[0, 0] = 2.0
+    vals[0, 0] = 2.0
+    assert g.values[0, 0] == 1.0
+    mp_grid = sample_magnitude(random_field(2, 1, F2, seed=74), radial_grid(4), 5, dps=30)
+    with pytest.raises(ValueError, match="read-only"):
+        mp_grid.values[0, 0] = mp_grid.values[0, 1]
 
 
 def test_field_validation():

@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import ctx_mp_python, mp, mpf
 
+import herglotz
 from herglotz import extract, field, specfun
 from herglotz.extract import extract_magnitude_data, radial_grid
 from herglotz.field import random_field, sample_magnitude
@@ -137,6 +140,23 @@ def test_bessel_row_table_keeps_its_bound():
     for k in range(_ROW_TABLE_SIZE + 10):
         bessel_row(k % 3, radii * (1 + k / 1000))
     assert specfun._bessel_row.cache_info().currsize == _ROW_TABLE_SIZE
+
+
+def test_every_process_table_is_bounded():
+    # the lru_cache tables of every herglotz module, walked as cold_tables
+    # walks them, keep a bounded number of entries, so that a long-lived
+    # process does not grow with the fields it sees
+    tables = {}
+    for info in pkgutil.iter_modules(herglotz.__path__):
+        for obj in vars(importlib.import_module(f"herglotz.{info.name}")).values():
+            if callable(getattr(obj, "cache_info", None)):
+                tables[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_info().maxsize
+    # leggauss is keyed on the rule size n alone: a run asks for a few small n
+    # (the node counts of its polar rules and quadrature panels), each entry
+    # two n-vectors
+    assert tables.pop("herglotz.specfun.leggauss") is None
+    assert {"herglotz.field._mp_bessel_row", "herglotz.specfun._bessel_row"} <= set(tables)
+    assert all(size is not None for size in tables.values()), tables
 
 
 def test_bound_values():
@@ -419,6 +439,10 @@ def test_mp_pipeline_bit_identical_to_operator_loop(monkeypatch):
     got = run()
     for module in (specfun, field, extract):
         monkeypatch.setattr(module, "bessel_j_mp", _reference_bessel_j_mp)
+    # empty the Bessel rows and designs of the first run, so that the second
+    # evaluates every row with the operator loop
+    for table in (field._mp_bessel_row, extract._lstsq_design, extract._taylor_design):
+        table.cache_clear()
     assert run() == got
 
 
