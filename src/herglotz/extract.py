@@ -32,8 +32,8 @@ the grid's values are read-only, so the lstsq and taylor extractions of one
 grid, or a degree estimate and the extraction after it, share one transform.
 
 estimate_max_degree reads only residuals, so it unmixes with the "float64"
-method whatever the samples' precision; in both dimensions it raises
-DegreeUnresolvableError when angular content lies above twice its estimate.
+method whatever the samples' precision; for d = 2 it takes the first degree that
+fits within FIT_BUDGET times the profiles' rounding level, or refuses.
 """
 
 import math
@@ -58,8 +58,8 @@ CONDITION_WARN = 1e10
 # angular components beyond 2M above this multiple of the sample scale are
 # content of a higher degree: 64 eps, the rounding level of the double DFT
 TRUNCATION_FLOOR = 64 * np.finfo(float).eps
-# highest degree estimate_max_degree tries
-DEGREE_CAP = 16
+# a d = 2 degree fits within this many eps * scale * sqrt(radii / angles)
+FIT_BUDGET = 32
 # radial_grid keeps its nodes above this fraction of the ball radius
 INNER_FRAC = 0.05
 # (angles per circle, precision) twiddle tables kept by _dft_twiddles
@@ -574,30 +574,60 @@ def _extract_zonal_joint(profiles, M, grid):
 
 
 def estimate_max_degree(samples: MagnitudeGrid, d: int) -> int:
-    """Estimate the truncation degree from the active angular bandwidth.
+    """Estimate the truncation degree, from the active angular bandwidth up.
 
-    For d = 2 the estimate is refined upward, up to DEGREE_CAP, while the
-    unmixing residual keeps improving; only the residuals are read, so the
-    candidate unmixings use the "float64" method. For d >= 3 zonal data the
-    diagonals always land in the top Gegenbauer component, so the bandwidth
-    estimate is the degree. In both, check_truncation then refuses content
-    above 2M rather than truncating it silently.
+    For d = 2 it is the first candidate whose largest "float64" unmixing
+    residual, over the rounding budget FIT_BUDGET * eps * scale * sqrt(radii /
+    angles), is a misfit of at most 1. A candidate that too few angles or radii
+    cannot resolve, whose design loses rank, or whose misfit falls less than
+    tenfold raises DegreeUnresolvableError with the numbers that decided. For
+    d >= 3 zonal data the diagonals land in the top Gegenbauer component, so the
+    bandwidth guess is the degree, and check_truncation refuses content above 2M.
     """
     profiles = angular_decompose(samples, d)
     scale = float(np.max(np.abs(np.asarray(samples.values, dtype=float)))) + 1.0
     peaks = {p.frequency: float(np.max(np.abs(np.asarray(p.values, dtype=complex))))
              for p in profiles}
     act = [q for q, peak in peaks.items() if peak > 1e-10 * scale]
-    guess = max((q + 1) // 2 for q in act) if act else 0
-    M = _residual_degree(profiles, guess, scale) if d == 2 else guess
-    check_truncation(peaks, M, scale, "the estimate")
-    return M
+    M = max((q + 1) // 2 for q in act) if act else 0
+    if d != 2:
+        check_truncation(peaks, M, scale, "the estimate")
+        return M
+    budget = FIT_BUDGET * np.finfo(float).eps * scale * math.sqrt(
+        len(samples.radii) / len(samples.grid))
+    tried, prev = "", None
+    while True:
+        _check_angles(samples.grid, M)
+        try:
+            misfit = max(radial_unmix(p, M, 2, "float64").residual for p in profiles) / budget
+        except (ValueError, ExtractionRankError) as exc:
+            raise DegreeUnresolvableError(f"degree {M} unresolvable: {tried}{exc}") from exc
+        if misfit <= 1:
+            return M
+        if prev is not None and misfit > prev / 10:
+            raise DegreeUnresolvableError(
+                f"degree {M} unresolvable: {tried}its own fit is {misfit:.3g} times the "
+                "budget, less than a tenfold gain")
+        tried = (f"the estimate is {M}, whose fit is {misfit:.3g} times the rounding "
+                 f"budget {budget:.3e}; ")
+        prev, M = misfit, M + 1
+
+
+def _check_angles(grid, M):
+    """DegreeUnresolvableError when the d = 2 ``grid`` has fewer than the 4M + 1
+    angles that the frequencies of degree M need."""
+    if len(grid) < 4 * M + 1:
+        raise DegreeUnresolvableError(
+            f"degree {M} unresolvable: its frequencies up to {2 * M} need at least "
+            f"{4 * M + 1} angles, the grid has {len(grid)}"
+        )
 
 
 def check_truncation(peaks: dict, M: int, scale: float, source: str):
     """DegreeUnresolvableError when a component q > 2M of ``peaks`` (component ->
     largest modulus over the radii, the residual of its report beyond 2M) is
-    above TRUNCATION_FLOOR * scale; ``source`` names where M came from."""
+    above TRUNCATION_FLOOR * scale; ``source`` names where M came from. It
+    serves the d >= 3 estimate and a degree given to the CLI."""
     floor = TRUNCATION_FLOOR * scale
     above = {q: peak for q, peak in peaks.items() if q > 2 * M and peak > floor}
     if above:
@@ -607,33 +637,6 @@ def check_truncation(peaks: dict, M: int, scale: float, source: str):
             f"{q} holds {above[q]:.3e}, above the rounding floor {floor:.3e} of "
             f"components beyond {2 * M}"
         )
-
-
-def _residual_degree(profiles, guess, scale):
-    """The d = 2 degree, from guess upward, whose float64 unmixing residual is
-    below 1e-8 * scale or stops improving tenfold."""
-    prev = None
-    for M in range(guess, DEGREE_CAP + 1):
-        try:
-            _, total = _extract_with_residual(profiles, 2, M, "float64")
-        except (ValueError, ExtractionRankError):
-            break
-        if total <= 1e-8 * scale:
-            return M
-        if prev is not None and total > prev / 10:
-            return M - 1 if M > guess else M
-        prev = total
-    return guess
-
-
-def _extract_with_residual(profiles, d, M, method):
-    reports = []
-    total = 0.0
-    for prof in profiles:
-        rep = radial_unmix(prof, M, d, method=method)
-        reports.append(rep)
-        total = max(total, rep.residual)
-    return reports, total
 
 
 def extract_magnitude_data(
@@ -658,15 +661,11 @@ def extract_magnitude_data(
     if M is None:
         M = estimate_max_degree(samples, d)
     check_degree(M)
-    if d == 2 and len(samples.grid) < 4 * M + 1:
-        raise DegreeUnresolvableError(
-            f"degree {M} unresolvable: its frequencies up to {2 * M} need at least "
-            f"{4 * M + 1} angles, the grid has {len(samples.grid)}"
-        )
     profiles = angular_decompose(samples, d)
     if d == 2:
+        _check_angles(samples.grid, M)
         if method is None:
             method = "lstsq" if samples.values.dtype == object else "float64"
-        reports, _ = _extract_with_residual(profiles, d, M, method)
+        reports = [radial_unmix(prof, M, d, method=method) for prof in profiles]
         return _assemble_2d(reports, M, samples.grid), reports
     return _extract_zonal_joint(profiles, M, samples.grid)

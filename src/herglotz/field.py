@@ -39,14 +39,14 @@ def check_degree(max_degree: int):
 
 
 def check_radii(radii) -> np.ndarray:
-    """radii as a float array; ValueError unless finite (naming the first value
-    that is not), positive and strictly increasing."""
-    radii = np.asarray(radii, dtype=float)
+    """radii as a read-only float copy; ValueError unless finite (naming the
+    first value that is not), positive and strictly increasing."""
+    radii = np.array(radii, dtype=float)
     if (bad := radii[~np.isfinite(radii)]).size:
         raise ValueError(f"non-finite radius {bad[0]}")
     if np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be positive and strictly increasing")
-    return radii
+    return _read_only(radii)
 
 
 @dataclass(eq=False)
@@ -324,9 +324,6 @@ class MagnitudeData:
     def subtract(self, other) -> "MagnitudeData":
         a, b = self._joint_tables(other)
         return MagnitudeData(self.dim, self.grid, a - b)
-
-    def is_zero(self, tol) -> bool:
-        return self.max_abs() <= tol
 
 
 def default_data_grid(dim: int, max_degree: int) -> SphereGrid:

@@ -643,8 +643,8 @@ def test_extract_d3_nonzonal_exits_3(tmp_path, capsys):
 
 
 def test_extract_truncated_degree_exits_2(tmp_path, capsys):
-    # 48 radii cannot resolve degree 7 of this field: the estimate stops at 6
-    # while the angular components above 12 still hold content
+    # 48 radii cannot resolve degree 7 of this field: degree 6 misfits the
+    # samples, and degree 7's design loses rank
     f, g, d = (tmp_path / n for n in ("u.field", "u.grid", "u.data"))
     assert run(["gen", "--dim", "2", "--max-degree", "7", "--seed", "7000", "--out", str(f)]) == 0
     assert run(["sample", str(f), "--out", str(g)]) == 0
@@ -787,10 +787,11 @@ def test_given_d2_degree_below_the_content_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("angles, degree", [(9, 3), (11, 4), (12, 3), (13, None)])
+@pytest.mark.parametrize("angles, degree", [(9, 3), (11, 3), (12, 3), (13, None)])
 def test_d2_extraction_needs_4m_plus_1_angles(tmp_path, capsys, angles, degree):
     # 12 angles alias the +-6 frequencies of a degree-3 field, and its residual stays
-    # at 3e-15; 11 angles give an estimate of 4, and 9 a residual of 9e-5
+    # at 3e-15; on 11 angles the degree search starts at 3, which they cannot
+    # resolve, and on 9 it reaches 3 after degree 2 misfits
     f, g, d = (tmp_path / n for n in ("u.field", "u.grid", "u.data"))
     assert run(["gen", "--max-degree", "3", "--seed", "1", "--out", str(f)]) == 0
     assert run(["sample", str(f), "--angular-nodes", str(angles), "--out", str(g)]) == 0

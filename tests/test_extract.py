@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -770,12 +771,94 @@ def test_d3_joint_rank_loss_names_the_pairs(radii):
 
 
 def test_truncated_degree_estimate_raises():
-    # a degree-7 field on 48 radii: the residuals stop improving at 6, but
-    # the profiles above frequency 12 hold content far above rounding
+    # a degree-7 field on 48 radii: degree 6 fits at thousands of times the
+    # rounding budget, and degree 7's design loses rank
     u = random_field(2, 7, F2, seed=7000)
     g = sample_magnitude(u, radial_grid(48), 33)
     with pytest.raises(DegreeUnresolvableError, match="degree 7 unresolvable"):
         estimate_max_degree(g, 2)
+
+
+_SWEEP_FAMILIES = ({}, {"real": True}, {"zero_mean": True}, {"all_r": True}, {"sparse": True})
+
+
+def test_d2_degree_sweep_is_right_or_refused():
+    # 720 fields: M = 1-8, five families, seeds 0-5, on three grids. 21 sparse
+    # fields among them keep their top degree out of the profiles above twice
+    # the degree below it, so only the fit can tell; each estimate must be M
+    # or a refusal
+    for radial, extra in ((48, 5), (32, 3), (64, 9)):
+        radii = radial_grid(radial)
+        for M in range(1, 9):
+            for flags in _SWEEP_FAMILIES:
+                for seed in range(6):
+                    g = sample_magnitude(random_field(2, M, F2, seed, **flags), radii,
+                                         4 * M + extra)
+                    try:
+                        est = estimate_max_degree(g, 2)
+                    except DegreeUnresolvableError:
+                        continue
+                    assert est == M, (radial, M, flags, seed, est)
+
+
+def test_sparse_degree_5_is_not_truncated():
+    # its profiles above frequency 8 hold nothing; only the degree-4 fit, 1.3e7
+    # times the rounding level, shows degree 5
+    u = random_field(2, 5, F2, seed=2, sparse=True)
+    g = sample_magnitude(u, radial_grid(48), 25)
+    assert estimate_max_degree(g, 2) == 5
+    data, _ = extract_magnitude_data(g, 2)
+    assert data.max_degree == 5
+    assert magnitude_coeffs(u, data.grid).deviation(data) < 1e-6
+
+
+@pytest.mark.parametrize("flags, message", [
+    # degree 6 fits at 25 times the budget, and degree 7 loses rank on 48 radii
+    ({"sparse": True}, r"degree 7 unresolvable: the estimate is 6, whose fit is 25\.4 times "
+                       r"the rounding budget .*condition estimate 1\.38e\+12"),
+    # the first candidate, 7, loses rank: refused by the estimate, not by the
+    # extraction after it
+    ({"all_r": True}, r"degree 7 unresolvable: rank-deficient unmixing system "
+                      r"\(condition estimate 1\.38e\+12\)"),
+], ids=["sparse", "all_r"])
+def test_unresolvable_degree_7_is_refused(flags, message):
+    u = random_field(2, 7, F2, seed=3 if flags.get("sparse") else 2, **flags)
+    g = sample_magnitude(u, radial_grid(48), 33)
+    with pytest.raises(DegreeUnresolvableError, match=message):
+        estimate_max_degree(g, 2)
+    with pytest.raises(DegreeUnresolvableError, match=message):
+        extract_magnitude_data(g, 2)
+
+
+def test_noise_above_rounding_is_refused_with_both_misfits():
+    # 1e-12 of noise: degree 3 misfits, and degree 4 gains less than tenfold
+    u = random_field(2, 3, F2, seed=0)
+    g = sample_magnitude(u, radial_grid(48), 17)
+    noise = 1e-12 * np.random.default_rng(0).standard_normal(g.values.shape)
+    noisy = MagnitudeGrid(2, g.radii, g.grid, g.values + noise)
+    with pytest.raises(DegreeUnresolvableError) as exc:
+        estimate_max_degree(noisy, 2)
+    found = re.fullmatch(
+        r"degree 4 unresolvable: the estimate is 3, whose fit is (\S+) times the rounding "
+        r"budget (\S+); its own fit is (\S+) times the budget, less than a tenfold gain",
+        str(exc.value))
+    first, budget, second = map(float, found.groups())
+    assert first > 1 and second > first / 10
+    assert budget == pytest.approx(extract.FIT_BUDGET * np.finfo(float).eps
+                                   * (1 + np.abs(g.values).max()) * math.sqrt(48 / 17))
+
+
+def test_a_write_to_the_callers_radii_leaves_the_grid_unchanged():
+    # the grid and its profiles keep their own read-only radii
+    radii = radial_grid(24)
+    g = sample_magnitude(random_field(2, 3, F2, seed=1), radii, 17)
+    first, _ = extract_magnitude_data(g, 2, 3)
+    radii[:] = radii[::-1]
+    second, reports = extract_magnitude_data(g, 2, 3)
+    assert np.all(np.diff(g.radii) > 0) and not g.radii.flags.writeable
+    assert all(not p.radii.flags.writeable for p in angular_decompose(g, 2))
+    assert max(rep.residual for rep in reports) < 1e-12
+    assert first.deviation(second) == 0.0
 
 
 @pytest.mark.parametrize("family", [{}, {"zero_mean": True}, {"real": True}])
