@@ -397,9 +397,10 @@ def _taylor_unmix(profile, pairs, d):
     with mp.workdps(WORK_DPS):
         power, series = _taylor_design(tuple(pairs), profile.radii.tobytes(), d, mp.prec)
         n_inner = len(power.rows)
-        rin = [mpf(r) for r in profile.radii[:n_inner]]
         parts = _mp_parts(profile.values[:n_inner])
-        coef, _ = _mp_apply(power, [[v * r ** (d - 2) for v, r in zip(p, rin)] for p in parts])
+        if d != 2:  # absorb the prefactor r^{-(d-2)}, which is 1 at d = 2
+            parts = [[v * mpf(r) ** (d - 2) for v, r in zip(p, profile.radii)] for p in parts]
+        coef, _ = _mp_apply(power, parts)
         (gr, gi), _ = _mp_apply(series, coef)
     gamma = {p: complex(float(gr[j]), float(gi[j])) for j, p in enumerate(pairs)}
     return UnmixReport(profile.frequency, gamma, 0.0, series.cond, "taylor")

@@ -18,7 +18,7 @@ from types import MappingProxyType
 
 import numpy as np
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_pow_int, round_nearest
+from mpmath.libmp import normalize, round_nearest
 
 from . import harmonics
 from .harmonics import BasisSpec, SphereGrid, harmonic_dim, sphere_grid, surface_measure
@@ -39,9 +39,11 @@ def check_degree(max_degree: int):
 
 
 def check_radii(radii) -> np.ndarray:
-    """radii as a read-only float copy; ValueError unless finite (naming the
-    first value that is not), positive and strictly increasing."""
+    """radii as a read-only float copy; ValueError unless a nonempty 1-D array,
+    finite (naming the first value that is not), positive and strictly increasing."""
     radii = np.array(radii, dtype=float)
+    if radii.ndim != 1 or not radii.size:
+        raise ValueError(f"radii must be a nonempty 1-D array, got shape {radii.shape}")
     if (bad := radii[~np.isfinite(radii)]).size:
         raise ValueError(f"non-finite radius {bad[0]}")
     if np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
@@ -592,6 +594,20 @@ def _mp_bessel_row(m, radii, prec):
         return tuple(bessel_j_mp(m, mpf(r))._mpf_ for r in np.frombuffer(radii))
 
 
+def _signed(x):
+    """A finite raw libmp value as a (signed mantissa, exponent) pair."""
+    return (-x[1] if x[0] else x[1]), x[2]
+
+
+def _round(man, exp, prec):
+    """man * 2**exp rounded to prec bits, to nearest with ties to even, as a
+    signed pair: the rounding of every libmp operation at round_nearest."""
+    shift = man.bit_length() - prec
+    if shift <= 0:
+        return man, exp
+    return (man + (1 << (shift - 1)) - 1 + ((man >> shift) & 1)) >> shift, exp + shift
+
+
 def sample_magnitude(
     u: HerglotzField, radii, angular: int, dps: int | None = None
 ) -> MagnitudeGrid:
@@ -600,11 +616,18 @@ def sample_magnitude(
     With ``dps`` set (d = 2 only, a positive number of digits) the samples
     are computed in arbitrary precision and returned as an object array of mpf
     values, which the extraction module consumes without rounding to double.
-    Their Bessel rows J_m on the radii are a process-wide table keyed on (m,
-    radii, precision), _mp_bessel_row, of _ROW_TABLE_SIZE entries, so fields
-    sampled on shared radii at one precision compute them once.
+    Each is tot = f_0 J_0 + f_1 J_1 + ... and 2 pi (tot.real^2 + tot.imag^2),
+    computed on signed integer pairs: every product and sum is formed exactly
+    and rounded to nearest by _round, as each libmp operation rounds, so the
+    samples are bit for bit those of the mpf operators. The Bessel rows J_m on
+    the radii are a process-wide table keyed on (m, radii, precision),
+    _mp_bessel_row, of _ROW_TABLE_SIZE entries. A coefficient that is inf or
+    nan raises ValueError, with or without ``dps``.
     """
     radii = check_radii(radii)
+    for m, vec in enumerate(u.coeffs):
+        if (bad := vec[~np.isfinite(vec)]).size:
+            raise ValueError(f"degree {m} has a non-finite coefficient {bad[0]}")
     grid = sphere_grid(u.dim, angular)
     if dps is None:
         vals = np.abs(eval_field_grid(u, radii, grid.nodes)) ** 2
@@ -615,12 +638,12 @@ def sample_magnitude(
         raise ValueError(f"dps must be a positive number of digits, got {dps}")
     with mp.workdps(dps):
         degrees = range(u.max_degree + 1)
-        js_at_radius = list(zip(*(_mp_bessel_row(m, radii.tobytes(), mp.prec)
-                                  for m in degrees)))
+        prec, rnd = mp.prec, round_nearest
+        rows = list(zip(*(map(_signed, _mp_bessel_row(m, radii.tobytes(), prec))
+                          for m in degrees)))
         coeffs = [[mpc(c) for c in u.coeffs[m]] for m in degrees]
         vals = np.empty((len(radii), angular), dtype=object)
-        pref = (2 * mp.pi)._mpf_
-        prec, rnd = mp.prec, round_nearest
+        tm, te = _signed((2 * mp.pi)._mpf_)
         for qi in range(angular):
             # f_m(theta) = c_m e^{i m theta} + c_{-m} e^{-i m theta}, once per
             # angle. The sum over m rounds term by term in ascending m: taylor
@@ -630,15 +653,20 @@ def sample_magnitude(
             for m in degrees[1:]:
                 phase = mp.expjpi(mpf(2 * m * qi) / angular)
                 f.append(coeffs[m][0] * phase + coeffs[m][1] / phase)
-            f = [z._mpc_ for z in f]
-            # the loop of the mpc operators tot = mpc(0) + f_0 J_0 + f_1 J_1 + ...
-            # and 2 pi (tot.real**2 + tot.imag**2), on raw libmp tuples
-            for ri, jrow in enumerate(js_at_radius):
-                re = im = fzero
-                for (a, b), j in zip(f, jrow):
-                    re = mpf_add(re, mpf_mul(a, j, prec, rnd), prec, rnd)
-                    im = mpf_add(im, mpf_mul(b, j, prec, rnd), prec, rnd)
-                square = mpf_add(mpf_pow_int(re, 2, prec, rnd), mpf_pow_int(im, 2, prec, rnd),
-                                 prec, rnd)
-                vals[ri, qi] = mp.make_mpf(mpf_mul(pref, square, prec, rnd))
+            f = [_signed(z._mpc_[0]) + _signed(z._mpc_[1]) for z in f]
+            for ri, jrow in enumerate(rows):
+                xr = er = xi = ei = 0
+                for (ar, ae, ai, aie), (jm, je) in zip(f, jrow):
+                    pm, pe = _round(ar * jm, ae + je, prec)
+                    e = er if er < pe else pe
+                    xr, er = _round((xr << (er - e)) + (pm << (pe - e)), e, prec)
+                    pm, pe = _round(ai * jm, aie + je, prec)
+                    e = ei if ei < pe else pe
+                    xi, ei = _round((xi << (ei - e)) + (pm << (pe - e)), e, prec)
+                xr, er = _round(xr * xr, 2 * er, prec)
+                xi, ei = _round(xi * xi, 2 * ei, prec)
+                e = er if er < ei else ei
+                sq, se = _round((xr << (er - e)) + (xi << (ei - e)), e, prec)
+                sq *= tm
+                vals[ri, qi] = mp.make_mpf(normalize(0, sq, se + te, sq.bit_length(), prec, rnd))
     return MagnitudeGrid(2, radii, grid, vals)

@@ -1,8 +1,13 @@
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
-from mpmath import mp, mpc
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpc, mpf
+from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_pow_int, normalize, round_nearest
 
 from herglotz import field, harmonics
 from herglotz.extract import RadialProfile, angular_decompose, radial_grid
@@ -417,6 +422,158 @@ def test_sample_magnitude_refuses_a_dps_below_one(dps):
     u = random_field(2, 2, F2, seed=60)
     with pytest.raises(ValueError, match=f"dps must be a positive number of digits, got {dps}"):
         sample_magnitude(u, np.array([0.1, 0.5, 1.0]), 9, dps=dps)
+
+
+PRECS = [53, 136, 169, 203]  # 15, 40, 50 and 60 digits
+
+
+@st.composite
+def _mantissas(draw):
+    """(man, prec): signed integers of every size, zero, exact ties and ties
+    whose rounding carries up to a power of two."""
+    prec = draw(st.sampled_from(PRECS))
+    shift = draw(st.integers(1, 400))
+    top = draw(st.one_of(
+        st.integers(2 ** (prec - 1), 2 ** prec - 1),  # a prec-bit head ...
+        st.just(2 ** prec - 1),  # ... or all ones, so rounding up carries
+    ))
+    low = draw(st.one_of(
+        st.integers(0, 2 ** shift - 1),
+        st.just(2 ** (shift - 1)),  # exactly half: ties to even
+        st.just(2 ** (shift - 1) + 1),
+        st.just(2 ** (shift - 1) - 1),
+    ))
+    man = draw(st.one_of(
+        st.just((top << shift) + low),
+        st.integers(0, 2 ** (prec + 400)),
+        st.just(0),
+    ))
+    return (-man if draw(st.booleans()) else man), prec
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mantissas(), st.integers(-3000, 3000))
+def test_round_matches_libmp_normalize(drawn, exp):
+    man, prec = drawn
+    rman, rexp = field._round(man, exp, prec)
+    assert rman.bit_length() <= prec + 1  # prec + 1 only for a carry to 2^prec
+    want = normalize(int(man < 0), abs(man), exp, abs(man).bit_length(), prec, round_nearest)
+    got = normalize(int(rman < 0), abs(rman), rexp, abs(rman).bit_length(), prec + 1,
+                    round_nearest)
+    assert got == want
+
+
+def _far(s, t, prec):
+    """Whether mpf_add(s, t, prec) takes its shortcut for an operand more than
+    prec + 4 bits below the other."""
+    return bool(s[1] and t[1] and abs(s[2] - t[2]) > 100
+                and abs(s[2] + s[3] - t[2] - t[3]) > prec + 4)
+
+
+def _operator_loop_samples(u, radii, angular, dps):
+    """The samples from the libmp operator loop that the integer
+    kernel replaced (same phases, same order of operations), as raw tuples,
+    with the number of additions that took mpf_add's far-operand shortcut."""
+    out, far = [], 0
+    with mp.workdps(dps):
+        prec, rnd = mp.prec, round_nearest
+        degrees = range(u.max_degree + 1)
+        rows = list(zip(*(field._mp_bessel_row(m, radii.tobytes(), prec) for m in degrees)))
+        coeffs = [[mpc(c) for c in u.coeffs[m]] for m in degrees]
+        pref = (2 * mp.pi)._mpf_
+        for qi in range(angular):
+            f = [coeffs[0][0]]
+            for m in degrees[1:]:
+                phase = mp.expjpi(mpf(2 * m * qi) / angular)
+                f.append(coeffs[m][0] * phase + coeffs[m][1] / phase)
+            column = []
+            for jrow in rows:
+                re_, im = fzero, fzero
+                for (a, b), j in zip((z._mpc_ for z in f), jrow):
+                    ta, tb = mpf_mul(a, j, prec, rnd), mpf_mul(b, j, prec, rnd)
+                    far += _far(re_, ta, prec) + _far(im, tb, prec)
+                    re_, im = mpf_add(re_, ta, prec, rnd), mpf_add(im, tb, prec, rnd)
+                square = mpf_add(mpf_pow_int(re_, 2, prec, rnd), mpf_pow_int(im, 2, prec, rnd),
+                                 prec, rnd)
+                column.append(mpf_mul(pref, square, prec, rnd))
+            out.append(column)
+    return [x for row in zip(*out) for x in row], far
+
+
+FAMILIES = [{}, {"real": True}, {"sparse": True}, {"zero_mean": True}, {"all_r": True}]
+
+
+@pytest.mark.parametrize("dps", [15, 30, 40, 60])
+def test_integer_kernel_matches_the_libmp_operator_loop(dps):
+    radii = radial_grid(6)
+    for M in range(7):
+        for i, flags in enumerate(FAMILIES):
+            u = random_field(2, M, F2, seed=100 * M + i, **flags)
+            got = sample_magnitude(u, radii, 2 * M + 3, dps=dps)
+            assert [x._mpf_ for x in got.values.flat] == _operator_loop_samples(
+                u, radii, 2 * M + 3, dps)[0], (M, flags)
+
+
+@pytest.mark.parametrize("dps", [15, 30, 40, 60])
+def test_integer_kernel_matches_the_operator_loop_across_300_decades(dps):
+    # moduli from 1e-300 to 1e300 in one field put one product far below the
+    # running sum, the case mpf_add rounds through a shortcut; zeros too
+    rng = np.random.default_rng(dps)
+    radii = radial_grid(4)
+    far = 0
+    for k in range(8):
+        M = 1 + k % 6
+        coeffs = [10.0 ** rng.choice([-300, -150, 0, 150, 300], 2 if m else 1)
+                  * np.exp(1j * rng.uniform(0, 2 * np.pi, 2 if m else 1)) for m in range(M + 1)]
+        coeffs[k % (M + 1)][0] = 0
+        u = HerglotzField(2, M, F2, coeffs)
+        want, n_far = _operator_loop_samples(u, radii, 2 * M + 3, dps)
+        far += n_far
+        got = sample_magnitude(u, radii, 2 * M + 3, dps=dps)
+        assert [x._mpf_ for x in got.values.flat] == want
+    assert far > 0
+    zero = HerglotzField.zero(2, 3, F2)
+    assert all(x._mpf_ == fzero for x in sample_magnitude(zero, radii, 9, dps=dps).values.flat)
+
+
+def test_mp_samples_keep_their_golden_digest():
+    # sha256 of the 40-digit samples of three precise2d-shaped fields (M = 6,
+    # 64 radii x 40 angles); any change to their rounding changes it
+    h = hashlib.sha256()
+    for seed in (2901, 2902, 2903):
+        g = sample_magnitude(random_field(2, 6, F2, seed=seed), radial_grid(64), 40, dps=40)
+        for x in g.values.flat:
+            sign, man, exp, _ = x._mpf_
+            h.update(f"{sign} {int(man)} {exp}\n".encode())
+    assert h.hexdigest() == "4ef552e96b891c69ab5e074bc040e2cb8982540a2c0a39fb5f074ed3c139bf16"
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("dps", [None, 40])
+def test_sample_magnitude_refuses_non_finite_coefficients(bad, dps):
+    # both paths once returned NaN samples
+    u = random_field(2, 3, F2, seed=75)
+    u.coeffs[2][1] = bad
+    msg = re.escape(f"degree 2 has a non-finite coefficient {complex(bad)}")
+    with pytest.raises(ValueError, match=msg):
+        sample_magnitude(u, radial_grid(4), 13, dps=dps)
+
+
+@pytest.mark.parametrize("radii", [[], 0.5, [[0.1, 0.5, 0.9]]])
+def test_radii_must_be_a_nonempty_1d_array(radii):
+    # an empty array once sampled to a (0, 13) grid, whose extraction failed
+    # inside numpy; a scalar failed inside np.diff
+    shape = np.shape(radii)
+    u = random_field(2, 2, F2, seed=1)
+    for build in (
+        lambda: MagnitudeGrid(2, radii, sphere_grid(2, 13), np.ones((0, 13))),
+        lambda: RadialProfile(2, 0, radii, np.ones(0)),
+        lambda: sample_magnitude(u, radii, 13),
+        lambda: sample_magnitude(u, radii, 13, dps=30),
+    ):
+        with pytest.raises(ValueError, match=re.escape(
+                f"radii must be a nonempty 1-D array, got shape {shape}")):
+            build()
 
 
 @pytest.mark.parametrize("dps", [None, 40])
