@@ -45,11 +45,11 @@ from operator import mul
 
 import numpy as np
 from mpmath import mp, mpf
-from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_shift, round_nearest, to_fixed
+from mpmath.libmp import to_fixed
 
 from .field import MagnitudeData, MagnitudeGrid, check_degree, check_radii, nu_order
 from .harmonics import _polar_rule
-from .specfun import _read_only, bessel_j_mp, bessel_row, gegenbauer
+from .specfun import _raw, _read_only, _round, _round_div, bessel_j_mp, bessel_row, gegenbauer
 
 WORK_DPS = 50
 # fraction bits beyond mp.prec carried by the fixed-point least-squares solve
@@ -164,18 +164,21 @@ def _mp_dft(row, per_q):
     Q = len(row), each value taken as mpf(v).
 
     Each part is one integer dot product of the aligned row and twiddle parts,
-    so the sum is exact, rounded once by from_man_exp, then divided by Q as
-    mpc / int divides. A row holding inf or nan raises ValueError.
+    so the sum is exact; it is rounded once by _round, then divided by Q by
+    _round_div, as mpc / int divides. A row holding inf or nan raises
+    ValueError.
     """
     raws = [mpf(v)._mpf_ for v in row]
     if any(exp and not man for _, man, exp, _ in raws):
         raise ValueError("the mp DFT needs finite samples")
     A, ea = _aligned(raws)
-    prec, rnd, q_mpf = mp.prec, round_nearest, from_int(len(row))
-    return [mp.make_mpc((
-        mpf_div(from_man_exp(_dot(A, C), ea + e, prec, rnd), q_mpf, prec, rnd),
-        mpf_div(from_man_exp(_dot(A, S), ea + e, prec, rnd), q_mpf, prec, rnd),
-    )) for C, S, e in per_q]
+    prec, Q = mp.prec, len(row)
+
+    def part(dot, exp):
+        return _raw(*_round_div(*_round(dot, exp, prec), Q, prec), prec)
+
+    return [mp.make_mpc((part(_dot(A, C), ea + e), part(_dot(A, S), ea + e)))
+            for C, S, e in per_q]
 
 
 def angular_decompose(samples: MagnitudeGrid, d: int) -> list:
@@ -326,7 +329,7 @@ def _mp_apply(f, rhss):
     each held as integers as the columns are; deficient columns get 0. Returns
     (one solution per right-hand side, as mpf at the working precision; one
     residual norm per right-hand side)."""
-    F, prec, rnd, ncols = mp.prec + GUARD_BITS, mp.prec, round_nearest, len(f.qcols)
+    F, prec, ncols = mp.prec + GUARD_BITS, mp.prec, len(f.qcols)
     sols, resids = [], []
     for rhs in rhss:
         b, eb = _fixed(rhs, F)
@@ -338,22 +341,16 @@ def _mp_apply(f, rhss):
         fit = [_dot(row, x) >> F for row in f.rows]
         resid = math.isqrt(sum((bt - ft) ** 2 for bt, ft in zip(b, fit)))
         # entry j of the solution is x_j / N_j * 2^(eb - e_j), rounded once
-        sols.append([
-            mp.make_mpf(mpf_shift(mpf_div(from_int(xj), from_int(nr), prec, rnd), eb - e))
-            if nr else mpf(0)
-            for xj, nr, e in zip(x, f.norms, f.exps)
-        ])
+        sols.append([mp.make_mpf(_raw(*_round_div(xj, eb - e, nr, prec), prec))
+                     if nr else mpf(0) for xj, nr, e in zip(x, f.norms, f.exps)])
         resids.append(float(mp.ldexp(resid, eb - F)))
     return sols, resids
 
 
 def _mp_parts(values):
-    """Real and imaginary parts of profile values as mpf lists; object arrays of
-    mp numbers convert without rounding to double."""
-    if np.asarray(values).dtype == object:
-        return [mpf(v.real) for v in values], [mpf(v.imag) for v in values]
-    arr = np.asarray(values)
-    return [mpf(float(v)) for v in arr.real], [mpf(float(v)) for v in arr.imag]
+    """Real and imaginary parts of profile values as mpf lists, exactly: mp
+    numbers and double values alike convert without rounding."""
+    return [mpf(v.real) for v in values], [mpf(v.imag) for v in values]
 
 
 @lru_cache(maxsize=_DESIGN_TABLE_SIZE)

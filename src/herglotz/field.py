@@ -18,11 +18,11 @@ from types import MappingProxyType
 
 import numpy as np
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import normalize, round_nearest
 
 from . import harmonics
 from .harmonics import BasisSpec, SphereGrid, harmonic_dim, sphere_grid, surface_measure
-from .specfun import _ROW_TABLE_SIZE, _read_only, bessel_j, bessel_j_mp, bessel_row
+from .specfun import (_ROW_TABLE_SIZE, _raw, _read_only, _round, _signed, bessel_j,
+                      bessel_j_mp, bessel_row)
 
 WORKING_RADIUS = 1.0
 COEFF_TOL = 1e-9  # exact-coefficient comparisons
@@ -594,20 +594,6 @@ def _mp_bessel_row(m, radii, prec):
         return tuple(bessel_j_mp(m, mpf(r))._mpf_ for r in np.frombuffer(radii))
 
 
-def _signed(x):
-    """A finite raw libmp value as a (signed mantissa, exponent) pair."""
-    return (-x[1] if x[0] else x[1]), x[2]
-
-
-def _round(man, exp, prec):
-    """man * 2**exp rounded to prec bits, to nearest with ties to even, as a
-    signed pair: the rounding of every libmp operation at round_nearest."""
-    shift = man.bit_length() - prec
-    if shift <= 0:
-        return man, exp
-    return (man + (1 << (shift - 1)) - 1 + ((man >> shift) & 1)) >> shift, exp + shift
-
-
 def sample_magnitude(
     u: HerglotzField, radii, angular: int, dps: int | None = None
 ) -> MagnitudeGrid:
@@ -618,11 +604,12 @@ def sample_magnitude(
     values, which the extraction module consumes without rounding to double.
     Each is tot = f_0 J_0 + f_1 J_1 + ... and 2 pi (tot.real^2 + tot.imag^2),
     computed on signed integer pairs: every product and sum is formed exactly
-    and rounded to nearest by _round, as each libmp operation rounds, so the
-    samples are bit for bit those of the mpf operators. The Bessel rows J_m on
-    the radii are a process-wide table keyed on (m, radii, precision),
-    _mp_bessel_row, of _ROW_TABLE_SIZE entries. A coefficient that is inf or
-    nan raises ValueError, with or without ``dps``.
+    and rounded to nearest by specfun's _round, as each libmp operation rounds,
+    and _raw rounds the last product, with 2 pi, to an mpf, so the samples are
+    bit for bit those of the mpf operators. The Bessel rows J_m on the radii
+    are a process-wide table keyed on (m, radii, precision), _mp_bessel_row,
+    of _ROW_TABLE_SIZE entries. A coefficient that is inf or nan raises
+    ValueError, with or without ``dps``.
     """
     radii = check_radii(radii)
     for m, vec in enumerate(u.coeffs):
@@ -638,7 +625,7 @@ def sample_magnitude(
         raise ValueError(f"dps must be a positive number of digits, got {dps}")
     with mp.workdps(dps):
         degrees = range(u.max_degree + 1)
-        prec, rnd = mp.prec, round_nearest
+        prec = mp.prec
         rows = list(zip(*(map(_signed, _mp_bessel_row(m, radii.tobytes(), prec))
                           for m in degrees)))
         coeffs = [[mpc(c) for c in u.coeffs[m]] for m in degrees]
@@ -667,6 +654,5 @@ def sample_magnitude(
                 xi, ei = _round(xi * xi, 2 * ei, prec)
                 e = er if er < ei else ei
                 sq, se = _round((xr << (er - e)) + (xi << (ei - e)), e, prec)
-                sq *= tm
-                vals[ri, qi] = mp.make_mpf(normalize(0, sq, se + te, sq.bit_length(), prec, rnd))
+                vals[ri, qi] = mp.make_mpf(_raw(sq * tm, se + te, prec))
     return MagnitudeGrid(2, radii, grid, vals)

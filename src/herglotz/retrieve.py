@@ -212,6 +212,13 @@ class RetrievalResult:
     modes: list = dc_field(default_factory=list)
 
 
+def _check_accept_tol(accept_tol):
+    """ValueError naming accept_tol unless it is finite and nonnegative: a nan
+    or negative tolerance refuses consistent data, and inf accepts anything."""
+    if not 0 <= accept_tol < math.inf:
+        raise ValueError(f"accept_tol must be finite and nonnegative, got {accept_tol}")
+
+
 def _finish(candidate: HerglotzField, data: MagnitudeData, branch: str, modes,
             accept_tol: float = ACCEPT_TOL) -> RetrievalResult:
     """Canonicalize, forward-verify against the data and package the result."""
@@ -241,6 +248,7 @@ def retrieve_2d(data: MagnitudeData, accept_tol: float = ACCEPT_TOL) -> Retrieva
     with the conjugate choice resolved against the cross terms. The output is
     post-verified by forward synthesis.
     """
+    _check_accept_tol(accept_tol)
     if data.dim != 2:
         raise ValueError("retrieve_2d expects d = 2 magnitude data")
     M = data.max_degree
@@ -454,6 +462,7 @@ def solve_real_from_data(data: MagnitudeData, basis: BasisSpec) -> HerglotzField
 def retrieve_real_data(data: MagnitudeData, basis: BasisSpec,
                        accept_tol: float = ACCEPT_TOL) -> RetrievalResult:
     """Retrieval branch for data known to come from a real-valued field."""
+    _check_accept_tol(accept_tol)
     candidate = solve_real_from_data(data, basis)
     return _finish(candidate, data, "real", [
         {"m": m, "power": float(np.sum(np.abs(v) ** 2))}
@@ -501,6 +510,7 @@ def retrieve_3d_mean(data: MagnitudeData, basis: BasisSpec,
                      accept_tol: float = ACCEPT_TOL) -> RetrievalResult:
     """Retrieval for data with nonvanishing mean: d >= 3 in a real basis, or
     d = 2 in the fourier2d basis (where it is the mean branch of retrieve_2d)."""
+    _check_accept_tol(accept_tol)
     if basis.dim != data.dim:
         raise ValueError(f"basis is for d = {basis.dim}, data for d = {data.dim}")
     scale = 1.0 + data.max_abs()
@@ -554,6 +564,7 @@ def retrieve_3d_sparse(data: MagnitudeData, basis: BasisSpec,
     Re c_{m,m} against candidate squared basis functions; moduli come from the
     diagonal, real parts from the cross terms with the first active degree,
     and imaginary parts up to the global sign from the remaining cross terms."""
+    _check_accept_tol(accept_tol)
     if data.dim < 3:
         raise BranchNotApplicableError("the sparse branch applies to d >= 3 data")
     if basis.dim != data.dim:

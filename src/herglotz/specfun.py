@@ -12,13 +12,14 @@ Gauss-Legendre rules, once per process: the tables are shared, read-only and
 kept without locks, so parallelize across processes, not threads.
 
 bessel_j_mp, the arbitrary-precision series behind the extraction solvers and
-high-precision sampling, runs on raw libmp tuples with exactly the roundings
-of the mpf operators (round-to-nearest at mp.prec), so its values are those of
-the operator loop bit for bit: on 64 radial_grid radii, orders 0 to 8, a call
-took 48-52 us at 40 digits and 58-60 us at 50, against 159 and 197 us for the
-operator loop. Its constants and exact divisors come from one process-wide
-table per (order, precision), _mp_series. It reads mpmath's global precision
-context: parallelize across processes, not threads.
+high-precision sampling, is the mpf operator loop done exactly on Python
+integers: each product, quotient and sum is formed exactly and rounded once to
+nearest with ties to even (_round, _round_div), the rounding of every libmp
+operation at round_nearest, so its values are those of the operator loop bit
+for bit. The same helpers round the 40-digit sampling kernel, the mp DFT and
+the mp solves. Its per-order constants come from one process-wide table per
+(order, precision), _mp_series. It reads mpmath's global precision context:
+parallelize across processes, not threads.
 """
 
 import math
@@ -28,16 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 from mpmath import mp, mpf
-from mpmath.libmp import (
-    from_man_exp,
-    mpf_abs,
-    mpf_add,
-    mpf_cmp,
-    mpf_div,
-    mpf_mul,
-    mpf_sub,
-    round_nearest,
-)
+from mpmath.libmp import normalize, round_nearest
 
 
 def _is_half_integer(nu) -> bool:
@@ -77,9 +69,6 @@ DEFAULT_BUDGET = SeriesBudget()
 # largest absolute rounding error, eps times the largest term, that bessel_j accepts
 CANCEL_LIMIT = 1e-6
 _ROW_TABLE_SIZE = 256  # (order, radii) rows kept by bessel_row
-# series terms whose bessel_j_mp divisors are tabled per order: a 50-digit
-# series on radial_grid radii (r <= 1) stops within 21 terms
-_MP_DIVISOR_TERMS = 48
 
 
 class ConvergenceError(RuntimeError):
@@ -322,33 +311,54 @@ def bessel_product_integral(n: int, m: int, alpha, r, quad_points: int = 512):
 
 # -- arbitrary-precision series (internal; used by the extraction solvers) --
 
+def _signed(x):
+    """A finite raw libmp value as a (signed mantissa, exponent) pair."""
+    return (-x[1] if x[0] else x[1]), x[2]
+
+
+def _round(man, exp, prec):
+    """man * 2**exp rounded to prec bits, to nearest with ties to even, as a
+    signed pair: the rounding of every libmp operation at round_nearest."""
+    shift = man.bit_length() - prec
+    if shift <= 0:
+        return man, exp
+    return (man + (1 << (shift - 1)) - 1 + ((man >> shift) & 1)) >> shift, exp + shift
+
+
+def _round_div(man, exp, div, prec):
+    """man * 2**exp / div for a positive integer div, rounded as _round rounds:
+    a quotient of prec + 2 or prec + 3 bits, with its last bit set when the
+    remainder is nonzero, keeps every rounding decision of the exact value."""
+    shift = prec + 2 + div.bit_length() - abs(man).bit_length()
+    q, rem = divmod(abs(man) << shift, div) if shift >= 0 else divmod(abs(man), div << -shift)
+    q |= rem > 0
+    return _round(-q if man < 0 else q, exp - shift, prec)
+
+
+def _raw(man, exp, prec):
+    """The signed pair man * 2**exp as a normalized raw libmp value, rounded to
+    prec bits as _round rounds."""
+    return normalize(int(man < 0), abs(man), exp, abs(man).bit_length(), prec, round_nearest)
+
+
 @lru_cache(maxsize=128)
 def _mp_series(two_nu, prec):
     """The per-order table of bessel_j_mp at the working precision prec: nu and
-    Gamma(nu + 1) as mpf values, the 1e-40 floor of the stop test, and the
-    exact divisors (k + 1)(nu + k + 1) of the first _MP_DIVISOR_TERMS terms, as
-    raw libmp values; later terms build their divisors on the fly."""
+    Gamma(nu + 1) as mpf values, and the 1e-40 floor of the stop test as a
+    signed pair."""
     nu = mpf(two_nu) / 2
-    divisors = tuple(from_man_exp((k + 1) * (two_nu + 2 * k + 2), -1)
-                     for k in range(_MP_DIVISOR_TERMS))
-    return nu, mp.gamma(nu + 1), mpf("1e-40")._mpf_, divisors
+    return nu, mp.gamma(nu + 1), _signed(mpf("1e-40")._mpf_)
 
 
 def bessel_j_mp(nu, r):
     """J_nu(r) as an mpmath mpf at the current working precision.
 
-    The series runs on raw libmp tuples and makes exactly the roundings of the
-    mpf operator loop t = -t * h2 / ((k + 1) * (nu + k + 1)), total += t,
-    stopping once |t| <= eps * (|total| + 1e-40): the divisor is exact, the
-    sign of each term alternates (negation is exact and round-to-nearest is
-    symmetric), and eps * x is the exponent shift 2^(1 - prec).
-
-    The stop test reads exponents first. With 2^(top - 1) <= |x| < 2^top, and
-    |total| and 1e-40 at least 2 bits apart in top, the threshold lies in
-    [2^(big - prec), 2^(big + 2 - prec)) for big the larger top, so a term
-    whose top is at most big - prec stops the series and one whose top is at
-    least big + 3 - prec does not; only the two tops between, or a total
-    within 2 bits of the floor, take the exact mpf_add and mpf_cmp test.
+    The series makes exactly the roundings of the mpf operator loop
+    t = -t * h2 / ((k + 1) * (nu + k + 1)), total += t, stopping once
+    |t| <= eps * (|total| + 1e-40), on signed integer pairs: the divisor is
+    the exact integer (k + 1)(2 nu + 2k + 2) / 2, each product, quotient and
+    sum is rounded once by _round or _round_div, and eps * x is the exponent
+    shift 2^(1 - prec), so the stop test is one exact integer comparison.
     """
     nu_f = validate_order(nu)
     if nu_f < 0:
@@ -362,29 +372,22 @@ def bessel_j_mp(nu, r):
         return mpf(1) if nu_f == 0 else mpf(0)
     prec = mp.prec
     two_nu = int(2 * nu_f)
-    nu_m, gamma, tiny, divisors = _mp_series(two_nu, prec)
-    total = t = (half**nu_m / gamma)._mpf_
-    h2 = (half * half)._mpf_
-    shift = 1 - prec
-    tiny_top = tiny[2] + tiny[3]
-    rnd = round_nearest
+    nu_m, gamma, (fm, fe) = _mp_series(two_nu, prec)
+    tm, te = sm, se = _signed((half**nu_m / gamma)._mpf_)
+    hm, he = _signed((half * half)._mpf_)
     for k in range(1000):
-        # |t| of the next term; its sign is (-1)^(k + 1)
-        div = (divisors[k] if k < _MP_DIVISOR_TERMS
-               else from_man_exp((k + 1) * (two_nu + 2 * k + 2), -1))
-        t = mpf_div(mpf_mul(t, h2, prec, rnd), div, prec, rnd)
-        total = (mpf_add if k & 1 else mpf_sub)(total, t, prec, rnd)
-        _, man, exp, bc = total
-        top = exp + bc
-        if man and abs(top - tiny_top) >= 2:
-            gap = t[2] + t[3] - max(top, tiny_top) + prec
-            if gap <= 0:
-                return mp.make_mpf(total)
-            if gap >= 3:
-                continue
-        _, man, exp, bc = mpf_add(mpf_abs(total), tiny, prec, rnd)
-        if mpf_cmp(t, (0, man, exp + shift, bc)) <= 0:
-            return mp.make_mpf(total)
+        # t = -t * h2 / ((k + 1)(nu + k + 1)), total += t
+        tm, te = _round(-tm * hm, te + he, prec)
+        tm, te = _round_div(tm, te + 1, (k + 1) * (two_nu + 2 * k + 2), prec)
+        e = se if se < te else te
+        sm, se = _round((sm << (se - e)) + (tm << (te - e)), e, prec)
+        # stop once |t| <= 2^(1 - prec) * round(|total| + 1e-40)
+        e = se if se < fe else fe
+        bm, be = _round((abs(sm) << (se - e)) + (fm << (fe - e)), e, prec)
+        be += 1 - prec
+        e = te if te < be else be
+        if abs(tm) << (te - e) <= bm << (be - e):
+            return mp.make_mpf(_raw(sm, se, prec))
     raise ConvergenceError(
-        "mp series did not converge", partial=mp.make_mpf(total), terms=1000
+        "mp series did not converge", partial=mp.make_mpf(_raw(sm, se, prec)), terms=1000
     )

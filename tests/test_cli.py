@@ -805,3 +805,17 @@ def test_d2_extraction_needs_4m_plus_1_angles(tmp_path, capsys, angles, degree):
         f"error: degree {degree} unresolvable: its frequencies up to {2 * degree} need at "
         f"least {4 * degree + 1} angles, the grid has {angles}"
     )
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_retrieve_refuses_an_invalid_tol(tmp_path, capsys, tol):
+    # nan and -1 once exited 2 with "inconsistent data" on consistent data, and
+    # inf wrote whatever the first branch returned with exit 0
+    f, g, d, out = (str(tmp_path / name) for name in ("u.field", "u.grid", "u.data", "r.field"))
+    assert run(["gen", "--max-degree", "3", "--seed", "1", "--out", f]) == 0
+    assert run(["sample", f, "--out", g]) == 0
+    assert run(["extract", g, "--out", d]) == 0
+    capsys.readouterr()
+    assert run(["retrieve", d, "--out", out, f"--tol={tol}"]) == 1
+    assert f"accept_tol must be finite and nonnegative, got {float(tol)}" in capsys.readouterr().err
+    assert not (tmp_path / "r.field").exists()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_pow_int, normalize, round_nearest
+from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_pow_int, round_nearest
 
 from herglotz import field, harmonics
 from herglotz.extract import RadialProfile, angular_decompose, radial_grid
@@ -422,45 +422,6 @@ def test_sample_magnitude_refuses_a_dps_below_one(dps):
     u = random_field(2, 2, F2, seed=60)
     with pytest.raises(ValueError, match=f"dps must be a positive number of digits, got {dps}"):
         sample_magnitude(u, np.array([0.1, 0.5, 1.0]), 9, dps=dps)
-
-
-PRECS = [53, 136, 169, 203]  # 15, 40, 50 and 60 digits
-
-
-@st.composite
-def _mantissas(draw):
-    """(man, prec): signed integers of every size, zero, exact ties and ties
-    whose rounding carries up to a power of two."""
-    prec = draw(st.sampled_from(PRECS))
-    shift = draw(st.integers(1, 400))
-    top = draw(st.one_of(
-        st.integers(2 ** (prec - 1), 2 ** prec - 1),  # a prec-bit head ...
-        st.just(2 ** prec - 1),  # ... or all ones, so rounding up carries
-    ))
-    low = draw(st.one_of(
-        st.integers(0, 2 ** shift - 1),
-        st.just(2 ** (shift - 1)),  # exactly half: ties to even
-        st.just(2 ** (shift - 1) + 1),
-        st.just(2 ** (shift - 1) - 1),
-    ))
-    man = draw(st.one_of(
-        st.just((top << shift) + low),
-        st.integers(0, 2 ** (prec + 400)),
-        st.just(0),
-    ))
-    return (-man if draw(st.booleans()) else man), prec
-
-
-@settings(max_examples=400, deadline=None)
-@given(_mantissas(), st.integers(-3000, 3000))
-def test_round_matches_libmp_normalize(drawn, exp):
-    man, prec = drawn
-    rman, rexp = field._round(man, exp, prec)
-    assert rman.bit_length() <= prec + 1  # prec + 1 only for a carry to 2^prec
-    want = normalize(int(man < 0), abs(man), exp, abs(man).bit_length(), prec, round_nearest)
-    got = normalize(int(rman < 0), abs(rman), rexp, abs(rman).bit_length(), prec + 1,
-                    round_nearest)
-    assert got == want
 
 
 def _far(s, t, prec):

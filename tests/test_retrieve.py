@@ -430,3 +430,23 @@ def test_retrieval_result_class_flags():
     u = random_field(2, 3, F2, seed=24)
     result = retrieve_2d(magnitude_coeffs(u))
     assert not result.classes_coincide
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+def test_every_solver_refuses_an_invalid_accept_tol(tol):
+    # a nan or negative tolerance refused consistent data as inconsistent, and
+    # inf switched the forward check off
+    d2 = magnitude_coeffs(random_field(2, 3, F2, seed=1))
+    d3 = magnitude_coeffs(random_field(3, 2, Z3, seed=1, real=True))
+    solvers = [lambda: retrieve_2d(d2, accept_tol=tol)] + [
+        lambda solve=solve: solve(d3, Z3, accept_tol=tol)
+        for solve in (retrieve_3d_mean, retrieve_3d_sparse, retrieve_real_data)
+    ]
+    for solve in solvers:
+        with pytest.raises(ValueError, match=f"accept_tol must be finite and nonnegative, got {tol}"):
+            solve()
+
+
+def test_a_zero_accept_tol_stays_legal():
+    u = HerglotzField(2, 1, F2, [np.array([1.0]), np.array([0.0, 0.0])])
+    assert retrieve_2d(magnitude_coeffs(u), accept_tol=0.0).residual == 0.0

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import ctx_mp_python, mp, mpf
+from mpmath.libmp import from_int, from_man_exp, mpf_div, normalize, round_nearest
 
 import herglotz
 from herglotz import extract, field, specfun
@@ -387,9 +388,9 @@ def test_bessel_mp_bit_identical_to_operator_loop(dps):
 
 
 def test_bessel_mp_stops_at_the_operator_loops_term(monkeypatch):
-    # the operator loop makes one `<=` (mpf_le) per term and the libmp loop
-    # one mpf_mul, so equal counts mean both stop after the same term
-    counts = {"libmp": 0, "operators": 0}
+    # the operator loop makes one `<=` (mpf_le) per term and the integer loop
+    # one _round_div, so equal counts mean both stop after the same term
+    counts = {"integers": 0, "operators": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -397,7 +398,7 @@ def test_bessel_mp_stops_at_the_operator_loops_term(monkeypatch):
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(specfun, "mpf_mul", counting("libmp", specfun.mpf_mul))
+    monkeypatch.setattr(specfun, "_round_div", counting("integers", specfun._round_div))
     monkeypatch.setattr(ctx_mp_python, "mpf_le", counting("operators", ctx_mp_python.mpf_le))
     with mp.workdps(50):
         # at small r and high order the sum falls below the 1e-40 floor
@@ -405,8 +406,8 @@ def test_bessel_mp_stops_at_the_operator_loops_term(monkeypatch):
             for r in (1e-30, 1e-3, 0.3, 1.0, 6.0, 30.0):
                 bessel_j_mp(nu, r)
                 _reference_bessel_j_mp(nu, r)
-                assert counts["libmp"] == counts["operators"], (nu, r)
-    assert counts["libmp"] > 30 * 5
+                assert counts["integers"] == counts["operators"], (nu, r)
+    assert counts["integers"] > 30 * 5
 
 
 def test_bessel_mp_keeps_its_errors():
@@ -420,6 +421,77 @@ def test_bessel_mp_keeps_its_errors():
         with pytest.raises(ValueError):
             bessel_j_mp(-1.5, 1.0)
         assert bessel_j_mp(0, 0) == 1 and bessel_j_mp(2.5, mpf(0)) == 0
+
+
+PRECS = [53, 136, 169, 203]  # 15, 40, 50 and 60 digits
+
+
+@st.composite
+def _mantissas(draw):
+    """(man, prec): signed integers of every size, zero, exact ties and ties
+    whose rounding carries up to a power of two."""
+    prec = draw(st.sampled_from(PRECS))
+    shift = draw(st.integers(1, 400))
+    top = draw(st.one_of(
+        st.integers(2 ** (prec - 1), 2 ** prec - 1),  # a prec-bit head ...
+        st.just(2 ** prec - 1),  # ... or all ones, so rounding up carries
+    ))
+    low = draw(st.one_of(
+        st.integers(0, 2 ** shift - 1),
+        st.just(2 ** (shift - 1)),  # exactly half: ties to even
+        st.just(2 ** (shift - 1) + 1),
+        st.just(2 ** (shift - 1) - 1),
+    ))
+    man = draw(st.one_of(
+        st.just((top << shift) + low),
+        st.integers(0, 2 ** (prec + 400)),
+        st.just(0),
+    ))
+    return (-man if draw(st.booleans()) else man), prec
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mantissas(), st.integers(-3000, 3000))
+def test_round_matches_libmp_normalize(drawn, exp):
+    man, prec = drawn
+    rman, rexp = specfun._round(man, exp, prec)
+    assert rman.bit_length() <= prec + 1  # prec + 1 only for a carry to 2^prec
+    want = normalize(int(man < 0), abs(man), exp, abs(man).bit_length(), prec, round_nearest)
+    got = normalize(int(rman < 0), abs(rman), rexp, abs(rman).bit_length(), prec + 1,
+                    round_nearest)
+    assert got == want
+
+
+@st.composite
+def _quotients(draw):
+    """(man, exp, div, prec): zero, signed mantissas of 1 to 3 prec + 7 bits and
+    exact ties, div times a prec-bit head and half a unit; divisors 1, powers of
+    two, odd numbers and any of up to 300 bits."""
+    prec = draw(st.sampled_from([10, *PRECS]))
+    div = draw(st.one_of(
+        st.just(1),
+        st.integers(0, 299).map(lambda k: 2 ** k),
+        st.integers(0, 2 ** 299 - 1).map(lambda k: 2 * k + 1),
+        st.integers(1, 2 ** 300 - 1),
+    ))
+    bits = draw(st.integers(1, 3 * prec + 7))
+    shift = draw(st.integers(1, 40))
+    man = draw(st.one_of(
+        st.just(0),
+        st.integers(2 ** (bits - 1), 2 ** bits - 1),
+        st.integers(2 ** (prec - 1), 2 ** prec - 1).map(
+            lambda top: div * ((top << shift) + (1 << (shift - 1)))),
+    ))
+    exp = draw(st.integers(-400, 400))
+    return (-man if draw(st.booleans()) else man), exp, div, prec
+
+
+@settings(max_examples=400, deadline=None)
+@given(_quotients())
+def test_round_div_matches_libmp_division(drawn):
+    man, exp, div, prec = drawn
+    want = mpf_div(from_man_exp(man, exp), from_int(div), prec, round_nearest)
+    assert specfun._raw(*specfun._round_div(man, exp, div, prec), prec) == want
 
 
 def test_mp_pipeline_bit_identical_to_operator_loop(monkeypatch):
