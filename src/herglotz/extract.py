@@ -88,7 +88,8 @@ class NonZonalDataError(ValueError):
 
 @dataclass(eq=False)
 class RadialProfile:
-    """One angular component of the magnitude samples as a function of radius."""
+    """One angular component of the magnitude samples as a function of radius;
+    values holds one entry per radius."""
 
     dim: int
     frequency: int  # angular frequency (d=2) or Gegenbauer degree (d>=3)
@@ -97,6 +98,11 @@ class RadialProfile:
 
     def __post_init__(self):
         self.radii = check_radii(self.radii)
+        if np.shape(self.values) != (len(self.radii),):
+            raise ValueError(
+                f"values have shape {np.shape(self.values)}; {len(self.radii)} radii "
+                f"need ({len(self.radii)},)"
+            )
 
 
 @dataclass
@@ -487,8 +493,11 @@ def radial_unmix(profile: RadialProfile, M: int, d: int, method: str = "lstsq") 
     (the default of extract_magnitude_data for double samples). A "float64"
     solve whose design has a vanishing column, a singular R or a condition
     estimate above CONDITION_WARN raises ExtractionRankError with that
-    estimate, as the 50-digit methods do for the columns they lose.
+    estimate, as the 50-digit methods do for the columns they lose. A d other
+    than profile.dim raises ValueError.
     """
+    if d != profile.dim:
+        raise ValueError(f"profile is for d = {profile.dim}, got d = {d}")
     q = profile.frequency
     pairs = compatible_pairs(q, M, d)
     if not pairs:

@@ -233,7 +233,9 @@ class MagnitudeData:
     Re c_{m,n} at frequency q. d >= 3: ``table[m, n, k]`` is Re c_{m,n} at grid
     node k. Construction reads the upper triangle m <= n, mirrors it into the
     lower one and freezes the array; for d = 2 it also synthesizes the grid
-    samples, the only place where a Fourier table becomes samples.
+    samples, the only place where a Fourier table becomes samples. A table of
+    another shape than (M + 1, M + 1, 4M + 1) for d = 2 or (M + 1, M + 1,
+    len(grid)) for d >= 3 raises ValueError.
     """
 
     dim: int
@@ -242,6 +244,10 @@ class MagnitudeData:
 
     def __post_init__(self):
         table = np.array(self.table, dtype=complex if self.dim == 2 else float)
+        M = len(table) - 1
+        need = (M + 1, M + 1, 4 * M + 1 if self.dim == 2 else len(self.grid))
+        if table.shape != need:
+            raise ValueError(f"table has shape {table.shape}; degree {M} needs {need}")
         lower = np.tril_indices(len(table), -1)
         table[lower] = table[lower[::-1]]
         self.table = _read_only(table)

@@ -60,8 +60,6 @@ class Polynomial:
         return len(degs) <= 1
 
     def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.nvars, other)
         out = dict(self.terms)
         for a, c in other.terms.items():
             out[a] = out.get(a, Fraction(0)) + c
@@ -84,18 +82,6 @@ class Polynomial:
         return Polynomial(self.nvars, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        out = Polynomial.constant(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

@@ -212,15 +212,15 @@ class RetrievalResult:
     modes: list = dc_field(default_factory=list)
 
 
-def _check_accept_tol(accept_tol):
-    """ValueError naming accept_tol unless it is finite and nonnegative: a nan
-    or negative tolerance refuses consistent data, and inf accepts anything."""
-    if not 0 <= accept_tol < math.inf:
-        raise ValueError(f"accept_tol must be finite and nonnegative, got {accept_tol}")
+def _check_tol(tol, name):
+    """ValueError naming the parameter unless tol is finite and nonnegative: a
+    nan or negative tolerance refuses consistent data, and inf accepts anything."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
 
 
 def _finish(candidate: HerglotzField, data: MagnitudeData, branch: str, modes,
-            accept_tol: float = ACCEPT_TOL) -> RetrievalResult:
+            accept_tol: float) -> RetrievalResult:
     """Canonicalize, forward-verify against the data and package the result."""
     synth = magnitude_coeffs(candidate, data.grid)
     scale = 1.0 + data.max_abs()
@@ -231,7 +231,7 @@ def _finish(candidate: HerglotzField, data: MagnitudeData, branch: str, modes,
         )
     rep = canonicalize(candidate)
     other = _phase_normalize(conjugate_field(rep))
-    te = trivially_equivalent(rep, other, tol=1e-9)
+    te = trivially_equivalent(rep, other)
     coincide = te.verdict == BOTH
     return RetrievalResult(rep, other, coincide, branch, float(residual), list(modes))
 
@@ -248,7 +248,7 @@ def retrieve_2d(data: MagnitudeData, accept_tol: float = ACCEPT_TOL) -> Retrieva
     with the conjugate choice resolved against the cross terms. The output is
     post-verified by forward synthesis.
     """
-    _check_accept_tol(accept_tol)
+    _check_tol(accept_tol, "accept_tol")
     if data.dim != 2:
         raise ValueError("retrieve_2d expects d = 2 magnitude data")
     M = data.max_degree
@@ -260,7 +260,7 @@ def retrieve_2d(data: MagnitudeData, accept_tol: float = ACCEPT_TOL) -> Retrieva
 
     if all(v <= active_tol for v in s.values()):
         zero = HerglotzField.zero(2, M, harmonics.fourier2d_basis())
-        return _finish(zero, data, "zero", [])
+        return _finish(zero, data, "zero", [], accept_tol)
 
     if s[0] > active_tol:
         return _retrieve_mean(data, harmonics.fourier2d_basis(), s[0], accept_tol)
@@ -462,7 +462,7 @@ def solve_real_from_data(data: MagnitudeData, basis: BasisSpec) -> HerglotzField
 def retrieve_real_data(data: MagnitudeData, basis: BasisSpec,
                        accept_tol: float = ACCEPT_TOL) -> RetrievalResult:
     """Retrieval branch for data known to come from a real-valued field."""
-    _check_accept_tol(accept_tol)
+    _check_tol(accept_tol, "accept_tol")
     candidate = solve_real_from_data(data, basis)
     return _finish(candidate, data, "real", [
         {"m": m, "power": float(np.sum(np.abs(v) ** 2))}
@@ -479,8 +479,10 @@ def retrieve_3d_real(u: HerglotzField, v: HerglotzField, radii=None, tol: float 
 
     Returns +1 or -1; mixed signs (or unequal magnitudes) beyond tolerance
     raise InconsistentDataError. The verdict is by sign agreement at all grid
-    nodes where |u| clears the tolerance band.
+    nodes where |u| clears the tolerance band; a nan, infinite or negative tol
+    raises ValueError.
     """
+    _check_tol(tol, "tol")
     if radii is None:
         radii = 0.1 + 0.9 * np.arange(8) / 7.0
     M = max(u.max_degree, v.max_degree)
@@ -510,7 +512,7 @@ def retrieve_3d_mean(data: MagnitudeData, basis: BasisSpec,
                      accept_tol: float = ACCEPT_TOL) -> RetrievalResult:
     """Retrieval for data with nonvanishing mean: d >= 3 in a real basis, or
     d = 2 in the fourier2d basis (where it is the mean branch of retrieve_2d)."""
-    _check_accept_tol(accept_tol)
+    _check_tol(accept_tol, "accept_tol")
     if basis.dim != data.dim:
         raise ValueError(f"basis is for d = {basis.dim}, data for d = {data.dim}")
     scale = 1.0 + data.max_abs()
@@ -564,7 +566,7 @@ def retrieve_3d_sparse(data: MagnitudeData, basis: BasisSpec,
     Re c_{m,m} against candidate squared basis functions; moduli come from the
     diagonal, real parts from the cross terms with the first active degree,
     and imaginary parts up to the global sign from the remaining cross terms."""
-    _check_accept_tol(accept_tol)
+    _check_tol(accept_tol, "accept_tol")
     if data.dim < 3:
         raise BranchNotApplicableError("the sparse branch applies to d >= 3 data")
     if basis.dim != data.dim:

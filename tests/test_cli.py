@@ -819,3 +819,14 @@ def test_retrieve_refuses_an_invalid_tol(tmp_path, capsys, tol):
     assert run(["retrieve", d, "--out", out, f"--tol={tol}"]) == 1
     assert f"accept_tol must be finite and nonnegative, got {float(tol)}" in capsys.readouterr().err
     assert not (tmp_path / "r.field").exists()
+
+
+def test_retrieve_tol_judges_the_all_zero_branch(tmp_path, capsys):
+    # the all-zero branch once ignored --tol and exited 0 at --tol 1e-13
+    d, out = str(tmp_path / "u.data"), str(tmp_path / "r.field")
+    fileio.write_data(d, magnitude_coeffs(random_field(2, 2, fourier2d_basis(), 1).scaled(3e-6)))
+    assert run(["retrieve", d, "--out", out, "--tol", "1e-13"]) == 2
+    assert "exceeds tolerance (residual 1.272e-11)" in capsys.readouterr().err
+    assert not (tmp_path / "r.field").exists()
+    assert run(["retrieve", d, "--out", out]) == 0
+    assert "branch=zero" in capsys.readouterr().out.splitlines()

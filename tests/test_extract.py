@@ -878,3 +878,24 @@ def test_truncated_degree_estimate_raises_d3():
     g = sample_magnitude(u, radial_grid(48), 18)
     with pytest.raises(DegreeUnresolvableError, match="degree 6 unresolvable: the estimate is 5"):
         estimate_max_degree(g, 3)
+
+
+def test_radial_profile_refuses_values_that_do_not_match_its_radii():
+    # with its last 3 values cut, this q = 2 profile once unmixed to
+    # gamma(0, 2) = 246.7 - 1372.9i by lstsq (0.278 + 0.471i in full), taylor
+    # read its inner radii alone, and float64 failed inside numpy
+    g = sample_magnitude(random_field(2, 3, F2, seed=1), radial_grid(32), 17)
+    p = angular_decompose(g, 2)[2]
+    for values, shape in ((p.values[:-3], "(29,)"), (p.values[None], "(1, 32)")):
+        msg = f"values have shape {shape}; 32 radii need (32,)"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            RadialProfile(2, 2, p.radii, values)
+
+
+@pytest.mark.parametrize("method", ["lstsq", "taylor", "float64"])
+def test_radial_unmix_refuses_a_dimension_other_than_the_profiles(method):
+    # unmixed with d = 3, the q = 0 profile of a d = 2 grid once gave a report
+    # built on d = 3 pairs and half-integer Bessel orders
+    g = sample_magnitude(random_field(2, 3, F2, seed=1), radial_grid(32), 17)
+    with pytest.raises(ValueError, match="profile is for d = 2, got d = 3"):
+        radial_unmix(angular_decompose(g, 2)[0], 3, 3, method)

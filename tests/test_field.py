@@ -612,3 +612,21 @@ def test_array_holding_dataclasses_compare_by_identity():
     p, q = angular_decompose(g, 2)[0], angular_decompose(h, 2)[0]
     for x, y in ((a, b), (u, v), (g, h), (p, q)):
         assert x == x and x != y
+
+
+def test_magnitude_data_refuses_a_table_that_does_not_fit_its_degree_and_grid():
+    # shifted one slot into a (3, 3, 11) array, this table was once accepted and
+    # read 0j at (1, 1, 2), where it holds -0.0699 + 0.1736i
+    data = magnitude_coeffs(random_field(2, 2, F2, seed=3))
+    shifted = np.zeros((3, 3, 11), dtype=complex)
+    shifted[:, :, 1:10] = data.table
+    msg = "table has shape (3, 3, 11); degree 2 needs (3, 3, 9)"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        field.MagnitudeData(2, data.grid, shifted)
+    d3 = magnitude_coeffs(random_field(3, 2, Z3, seed=3))
+    n = len(d3.grid)
+    msg = f"table has shape (3, 3, {n - 1}); degree 2 needs (3, 3, {n})"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        field.MagnitudeData(3, d3.grid, d3.table[..., 1:])
+    # NaN entries keep their shape and stay for the solvers to refuse
+    assert np.isnan(field.MagnitudeData(2, data.grid, np.full((3, 3, 9), np.nan)).table).all()

@@ -450,3 +450,23 @@ def test_every_solver_refuses_an_invalid_accept_tol(tol):
 def test_a_zero_accept_tol_stays_legal():
     u = HerglotzField(2, 1, F2, [np.array([1.0]), np.array([0.0, 0.0])])
     assert retrieve_2d(magnitude_coeffs(u), accept_tol=0.0).residual == 0.0
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+def test_retrieve_3d_real_refuses_an_invalid_tol(tol):
+    # nan and inf once emptied the node mask and returned +1 for u = -v, and
+    # -1 raised InconsistentDataError
+    u = random_field(3, 2, Z3, seed=1, real=True)
+    with pytest.raises(ValueError, match=f"tol must be finite and nonnegative, got {tol}"):
+        retrieve_3d_real(u, u.scaled(-1), tol=tol)
+    assert retrieve_3d_real(u, u.scaled(-1), tol=0.0) == -1
+
+
+def test_retrieve_2d_judges_all_zero_data_by_the_callers_tolerance():
+    # the all-zero branch once judged against the default 1e-6 whatever
+    # accept_tol was passed, and returned branch zero at 1e-13
+    data = magnitude_coeffs(random_field(2, 2, F2, seed=1).scaled(3e-6))
+    with pytest.raises(InconsistentDataError) as err:
+        retrieve_2d(data, accept_tol=1e-13)
+    assert err.value.residual == pytest.approx(1.27e-11, rel=1e-2)
+    assert retrieve_2d(data).branch == "zero"
