@@ -20,7 +20,8 @@ import numpy as np
 from mpmath import mp, mpc, mpf
 
 from . import harmonics
-from .harmonics import BasisSpec, SphereGrid, harmonic_dim, sphere_grid, surface_measure
+from .harmonics import (BasisSpec, SphereGrid, _array_key, harmonic_dim, sphere_grid,
+                        surface_measure)
 from .specfun import (_ROW_TABLE_SIZE, _raw, _read_only, _round, _signed, bessel_j,
                       bessel_j_mp, bessel_row)
 
@@ -94,8 +95,12 @@ class HerglotzField:
         )
 
     def padded(self, max_degree):
+        """The field with zero coefficients up to max_degree; at its own degree
+        the field itself, whose coefficient arrays the caller must not change."""
         if max_degree < self.max_degree:
             raise ValueError("cannot shrink a field by padding")
+        if max_degree == self.max_degree:
+            return self
         coeffs = [v.copy() for v in self.coeffs]
         for m in range(self.max_degree + 1, max_degree + 1):
             coeffs.append(np.zeros(harmonic_dim(self.dim, m), dtype=complex))
@@ -141,7 +146,9 @@ def _require_same_basis(u, v):
         raise ValueError("fields use different bases")
     if bu.kind == harmonics.ZONAL:
         for m in range(min(u.max_degree, v.max_degree) + 1):
-            if not np.allclose(bu.poles_for(m), bv.poles_for(m), atol=1e-12):
+            a, b = bu.poles_for(m), bv.poles_for(m)
+            # a table is finite (BasisSpec), so one array is close to itself
+            if a is not b and not np.allclose(a, b, atol=1e-12):
                 raise ValueError("zonal pole tables differ")
 
 
@@ -169,17 +176,21 @@ def eval_field_grid(u: HerglotzField, radii, theta) -> np.ndarray:
     d = u.dim
     out = np.zeros((len(radii), len(theta)), dtype=complex)
     pos = radii > 0
-    rp = radii[pos]
+    all_pos = bool(pos.size and pos.all())  # the common case: no masks to apply
+    rp = radii if all_pos else radii[pos]
+    rp_scale = rp ** (-(d - 2) / 2.0)
     pref = math.sqrt(2 * math.pi)
     for m in range(u.max_degree + 1):
         vec = u.coeffs[m]
         if not np.any(vec):
             continue
         fm = u.basis.values(m, theta) @ vec  # (ntheta,)
-        radial = np.zeros(len(radii))
-        if np.any(pos):
-            radial[pos] = rp ** (-(d - 2) / 2.0) * bessel_row(nu_order(m, d), rp)
-        if np.any(~pos):
+        if all_pos:
+            radial = rp_scale * bessel_row(nu_order(m, d), rp)
+        else:
+            radial = np.zeros(len(radii))
+            if len(rp):
+                radial[pos] = rp_scale * bessel_row(nu_order(m, d), rp)
             radial[~pos] = _radial_limit0(d) if m == 0 else 0.0
         out += pref * radial[:, None] * fm[None, :]
     return out
@@ -248,25 +259,19 @@ class MagnitudeData:
         need = (M + 1, M + 1, 4 * M + 1 if self.dim == 2 else len(self.grid))
         if table.shape != need:
             raise ValueError(f"table has shape {table.shape}; degree {M} needs {need}")
-        lower = np.tril_indices(len(table), -1)
-        table[lower] = table[lower[::-1]]
+        lower, upper = _mirror_index(M)
+        table[lower] = table[upper]
         self.table = _read_only(table)
         self._samples = self._synthesize() if self.dim == 2 else table
 
     def _synthesize(self) -> np.ndarray:
         """Grid samples of every Re c_{m,n}, summed in ascending frequency over
-        the frequencies -(m+n) <= -|n-m| <= |n-m| <= m+n the pair carries; a
-        repeated frequency is added once, the other copy as an exact zero."""
-        M = self.max_degree
-        waves = np.exp(1j * np.arange(-2 * M, 2 * M + 1)[:, None] * self.grid.angles)
-        m, n = np.indices(self.table.shape[:2])
-        total, diff = m + n, abs(n - m)
+        the frequencies -(m+n) <= -|n-m| <= |n-m| <= m+n the pair carries (the
+        slots of _synthesis_plan)."""
         vals = np.zeros(self.table.shape[:2] + (len(self.grid),), dtype=complex)
-        slots = ((-total, True), (-diff, diff != total), (diff, diff != 0), (total, total != diff))
-        for q, once in slots:
-            k = q + 2 * M
+        for k, once, waves in _synthesis_plan(self.max_degree, _array_key(self.grid.angles)):
             coef = np.take_along_axis(self.table, k[..., None], axis=2)[..., 0]
-            vals += np.where(once, coef, 0)[..., None] * waves[k]
+            vals += np.where(once, coef, 0)[..., None] * waves
         return _read_only(vals.real)
 
     @property
@@ -310,8 +315,10 @@ class MagnitudeData:
         return float(best)
 
     def _padded(self, M) -> np.ndarray:
-        """The table zero-padded to the degree range 0..M."""
+        """The table zero-padded to the degree range 0..M (read-only)."""
         extra = M - self.max_degree
+        if not extra:
+            return self.table
         q_pad = (2 * extra, 2 * extra) if self.dim == 2 else (0, 0)
         return np.pad(self.table, ((0, extra), (0, extra), q_pad))
 
@@ -332,6 +339,37 @@ class MagnitudeData:
     def subtract(self, other) -> "MagnitudeData":
         a, b = self._joint_tables(other)
         return MagnitudeData(self.dim, self.grid, a - b)
+
+
+@lru_cache(maxsize=harmonics._TABLE_SIZE)
+def _mirror_index(M: int) -> tuple:
+    """Index arrays of the entries m > n of an (M + 1) x (M + 1) table and of
+    their mirror images n < m, once per degree and shared (read-only)."""
+    lower = np.tril_indices(M + 1, -1)
+    upper = lower[::-1]
+    _read_only(*lower)
+    return lower, upper
+
+
+@lru_cache(maxsize=harmonics._TABLE_SIZE)
+def _synthesis_plan(M: int, angles: bytes) -> tuple:
+    """The four slots (k, once, waves) of MagnitudeData._synthesize at degree M
+    on the angles given by their bytes, once per key and shared (read-only).
+    Slot k[m, n] indexes the table's frequency axis at -(m+n), -|n-m|, |n-m|,
+    m+n in turn; waves = e^{i q t} at that frequency on the angles; a
+    frequency the pair repeats is added once, the other copy (once False) as
+    an exact zero."""
+    waves = np.exp(1j * np.arange(-2 * M, 2 * M + 1)[:, None] * np.frombuffer(angles))
+    m, n = np.indices((M + 1, M + 1))
+    total, diff = m + n, abs(n - m)
+    every = np.ones_like(total, dtype=bool)
+    slots = ((-total, every), (-diff, diff != total), (diff, diff != 0), (total, total != diff))
+    plan = []
+    for q, once in slots:
+        k = q + 2 * M
+        plan.append((k, once, waves[k]))
+        _read_only(*plan[-1])
+    return tuple(plan)
 
 
 def default_data_grid(dim: int, max_degree: int) -> SphereGrid:
@@ -381,6 +419,13 @@ def magnitude_coeffs(u: HerglotzField, grid: SphereGrid | None = None) -> Magnit
     return data
 
 
+def _check_tol(tol, name):
+    """ValueError naming the parameter unless tol is finite and nonnegative: a
+    nan or negative tolerance refuses consistent data, and inf accepts anything."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
+
+
 def comparison_tol(dim: int) -> float:
     """Relative tolerance of the field comparisons: exact Fourier data for
     d = 2, grid samples for d >= 3."""
@@ -389,15 +434,18 @@ def comparison_tol(dim: int) -> float:
 
 def equal_magnitude(u: HerglotzField, v: HerglotzField, tol: float | None = None) -> bool:
     """Whether |u| = |v|, decided through the magnitude data (all Re c_{m,n}),
-    cross-checked against a direct grid comparison of |u|^2 and |v|^2."""
+    cross-checked against a direct grid comparison of |u|^2 and |v|^2. tol
+    defaults to comparison_tol; a nan, infinite or negative one raises
+    ValueError."""
+    if tol is None:
+        tol = comparison_tol(u.dim)
+    _check_tol(tol, "tol")
     _require_same_basis(u, v)
     M = max(u.max_degree, v.max_degree)
     grid = default_data_grid(u.dim, M)
     du = magnitude_coeffs(u.padded(M), grid)
     dv = magnitude_coeffs(v.padded(M), grid)
     scale = 1.0 + max(du.max_abs(), dv.max_abs())
-    if tol is None:
-        tol = comparison_tol(u.dim)
     dev = du.deviation(dv)
     verdict = dev <= tol * scale
 
@@ -458,7 +506,9 @@ def _best_unimodular(target: np.ndarray, source: np.ndarray):
 
 
 def trivially_equivalent(u: HerglotzField, v: HerglotzField, tol: float = COEFF_TOL) -> TrivialEquivalence:
-    """Search for a unimodular c with v = c u or v = c conj(u) at the coefficient level."""
+    """Search for a unimodular c with v = c u or v = c conj(u) at the coefficient
+    level; a nan, infinite or negative tol raises ValueError."""
+    _check_tol(tol, "tol")
     _require_same_basis(u, v)
     M = max(u.max_degree, v.max_degree)
     au = u.padded(M).flat()

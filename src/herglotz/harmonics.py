@@ -15,6 +15,7 @@ Plus quadrature grids on the sphere and numerical Gram-rank tests.
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
@@ -275,6 +276,27 @@ def _evaluate(kind: str, dim: int, m: int, poles, theta: np.ndarray) -> np.ndarr
     return np.stack([p.evaluate(theta) for p in _palpha_table(dim, m)], axis=1)
 
 
+_ARRAY_KEYS: dict = {}  # id(array) -> (weak reference to it, its bytes)
+
+
+def _array_key(a: np.ndarray) -> bytes:
+    """The bytes of an array, as a table key. Those of a read-only array that
+    owns its memory are taken once while it lives (_ARRAY_KEYS): no code can
+    write to it while it stays read-only, so its key cannot go stale. The
+    sphere_grid nodes and angles and the default_poles tables are such arrays.
+    Every other array is read afresh on each call."""
+    if a.flags.writeable or not a.flags.owndata:
+        return a.tobytes()
+    entry = _ARRAY_KEYS.get(id(a))
+    if entry is None or entry[0]() is not a:
+        ref = weakref.ref(a, lambda _, i=id(a): _ARRAY_KEYS.pop(i, None))
+        entry = _ARRAY_KEYS[id(a)] = (ref, a.tobytes())
+    return entry[1]
+
+
+_array_key.cache_clear = _ARRAY_KEYS.clear  # emptied with the lru_cache tables
+
+
 @lru_cache(maxsize=_TABLE_SIZE)
 def _value_table(kind: str, dim: int, m: int, poles: bytes | None, shape: tuple,
                  nodes: bytes) -> np.ndarray:
@@ -318,7 +340,7 @@ class BasisSpec:
             if table.shape != (harmonic_dim(self.dim, m), self.dim):
                 raise ValueError(f"pole table for degree {m} has wrong shape")
             norms = np.linalg.norm(table, axis=1)
-            if np.any(np.abs(norms - 1) > SURFACE_TOL):
+            if not np.all(np.abs(norms - 1) <= SURFACE_TOL):  # nan is not a unit vector
                 raise ValueError(f"pole table for degree {m} contains non-unit vectors")
             self.poles[m] = table
 
@@ -336,14 +358,15 @@ class BasisSpec:
         """Raw degree-m values at float points theta (n, d) -> (n, N(m)).
 
         An array of two or more nodes reads _value_table, keyed on the kind, d,
-        m, the degree's pole table and the nodes' shape and bytes: every basis
-        with the same functions shares one entry. A single point is evaluated afresh.
+        m, the degree's pole table and the nodes' shape and bytes (_array_key):
+        every basis with the same functions shares one entry. A single point is
+        evaluated afresh.
         """
         poles = self.poles_for(m) if self.kind == ZONAL else None
         if len(theta) < 2:
             return _evaluate(self.kind, self.dim, m, poles, theta)
-        key = None if poles is None else poles.tobytes()
-        return _value_table(self.kind, self.dim, m, key, theta.shape, theta.tobytes())
+        key = None if poles is None else _array_key(poles)
+        return _value_table(self.kind, self.dim, m, key, theta.shape, _array_key(theta))
 
     def ortho_transform(self, m: int) -> np.ndarray:
         """Matrix T with orthonormal functions E = raw @ T (identity for fourier2d)."""

@@ -8,6 +8,7 @@ forward synthesis against the input data.
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,13 +18,15 @@ from .field import (
     HerglotzField,
     MagnitudeData,
     _best_unimodular,
+    _check_tol,
     add_fields,
     conjugate_field,
     eval_field_grid,
     magnitude_coeffs,
     trivially_equivalent,
 )
-from .harmonics import BasisSpec, harmonic_dim, sphere_grid
+from .harmonics import BasisSpec, _array_key, harmonic_dim, sphere_grid
+from .specfun import _read_only
 
 ACTIVE_TOL = 1e-10  # below this a mode power is treated as exactly zero
 ACCEPT_TOL = 1e-6  # forward residual accepted as consistent data
@@ -212,13 +215,6 @@ class RetrievalResult:
     modes: list = dc_field(default_factory=list)
 
 
-def _check_tol(tol, name):
-    """ValueError naming the parameter unless tol is finite and nonnegative: a
-    nan or negative tolerance refuses consistent data, and inf accepts anything."""
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
-
-
 def _finish(candidate: HerglotzField, data: MagnitudeData, branch: str, modes,
             accept_tol: float) -> RetrievalResult:
     """Canonicalize, forward-verify against the data and package the result."""
@@ -360,14 +356,22 @@ def _cosine_phase_candidates(data, n, fixed, rho, theta, chi):
 
 
 def _real_basis_values(basis: BasisSpec, m: int, grid) -> np.ndarray:
-    """Real-valued degree-m basis on the grid: the real trigonometric pair for
-    fourier2d, the basis functions themselves for real bases."""
+    """Real-valued degree-m basis on the grid (read-only): the real
+    trigonometric pair for fourier2d, the basis functions themselves for real
+    bases."""
     if basis.kind == harmonics.FOURIER2D:
-        ang = grid.angles
-        if m == 0:
-            return np.ones((len(grid), 1))
-        return np.stack([np.cos(m * ang), np.sin(m * ang)], axis=1)
+        return _trig_table(m, _array_key(grid.angles))
     return np.real(basis.values(m, grid.nodes))
+
+
+@lru_cache(maxsize=harmonics._TABLE_SIZE)
+def _trig_table(m: int, angles: bytes) -> np.ndarray:
+    """(cos m t, sin m t) on the angles given by their bytes, or the constant 1
+    for m = 0; once per key and shared (read-only)."""
+    ang = np.frombuffer(angles)
+    if m == 0:
+        return _read_only(np.ones((len(ang), 1)))
+    return _read_only(np.stack([np.cos(m * ang), np.sin(m * ang)], axis=1))
 
 
 def _real_vec_to_coeffs(basis: BasisSpec, m: int, vec: np.ndarray) -> np.ndarray:

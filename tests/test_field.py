@@ -630,3 +630,119 @@ def test_magnitude_data_refuses_a_table_that_does_not_fit_its_degree_and_grid():
         field.MagnitudeData(3, d3.grid, d3.table[..., 1:])
     # NaN entries keep their shape and stay for the solvers to refuse
     assert np.isnan(field.MagnitudeData(2, data.grid, np.full((3, 3, 9), np.nan)).table).all()
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+def test_the_comparisons_refuse_an_invalid_tol(tol):
+    # nan once read u and i u as unequal and inequivalent, inf read two
+    # unrelated fields as Both, and -1 raised a misleading contradiction
+    u = random_field(2, 3, F2, 1)
+    v = random_field(2, 3, F2, 2)
+    with pytest.raises(ValueError, match=f"tol must be finite and nonnegative, got {tol}"):
+        equal_magnitude(u, u.scaled(1j), tol=tol)
+    with pytest.raises(ValueError, match=f"tol must be finite and nonnegative, got {tol}"):
+        trivially_equivalent(u, v, tol=tol)
+
+
+def test_a_zero_comparison_tol_stays_legal():
+    u = random_field(2, 3, F2, 1)
+    assert equal_magnitude(u, u, tol=0.0)
+    assert trivially_equivalent(u, u, tol=0.0).verdict == field.IDENTITY
+
+
+@pytest.mark.parametrize("radii", [[], [0.0], [0.0, 0.5], [0.25, 0.5]])
+def test_grid_evaluation_matches_pointwise_evaluation_with_and_without_r0(radii):
+    u = random_field(3, 2, Z3, 1)
+    nodes = sphere_grid(3, 4).nodes
+    grid = eval_field_grid(u, radii, nodes)
+    assert grid.shape == (len(radii), len(nodes))
+    for i, r in enumerate(radii):
+        assert np.allclose(grid[i], [eval_field(u, r, t) for t in nodes], rtol=1e-13, atol=0)
+
+
+def test_padding_to_its_own_degree_shares_the_coefficients():
+    u = random_field(2, 3, F2, 1)
+    assert u.padded(3) is u
+    w = u.padded(5)
+    assert all(a is not b and np.array_equal(a, b) for a, b in zip(w.coeffs, u.coeffs))
+    assert not np.any(w.coeffs[4]) and not np.any(w.coeffs[5])
+
+
+@pytest.mark.parametrize("u", [
+    random_field(2, 3, F2, 1),
+    random_field(2, 3, F2, 2, zero_mean=True),
+    random_field(3, 3, Z3, 1),
+    random_field(3, 3, Z3, 2, sparse=True),
+], ids=["d2", "d2-zero-mean", "d3", "d3-sparse"])
+def test_no_comparison_or_retrieval_writes_to_a_fields_coefficients(u):
+    # padded(M) at the field's own degree hands out the field itself, so the
+    # chain must leave the arrays it reads as they are: frozen, any write raises
+    from herglotz import retrieve
+
+    for vec in u.coeffs:
+        vec.flags.writeable = False
+    v = conjugate_field(u)
+    assert equal_magnitude(u, v) and equal_magnitude(v, u)
+    assert trivially_equivalent(u, v).equivalent
+    add_fields(u, u)
+    retrieve.canonicalize(u)
+    data = magnitude_coeffs(u)
+    if u.dim == 2:
+        retrieve.retrieve_2d(data)
+        if not np.any(u.coeffs[0]):
+            retrieve.classify_modes(u, v)
+    elif np.any(u.coeffs[0]):
+        retrieve.retrieve_3d_mean(data, u.basis)
+    else:
+        retrieve.retrieve_3d_sparse(data, u.basis)
+
+
+def _angles_grid(count):
+    """A d = 2 grid whose angle array is writable."""
+    grid = sphere_grid(2, count)
+    return harmonics.SphereGrid(2, grid.nodes, grid.weights, angles=np.array(grid.angles))
+
+
+def test_the_d2_tables_follow_angles_changed_in_place():
+    from herglotz.retrieve import _real_basis_values
+
+    grid = _angles_grid(13)
+    table = magnitude_coeffs(random_field(2, 3, F2, 1)).table
+    _real_basis_values(F2, 2, grid)
+    field.MagnitudeData(2, grid, table)
+    grid.angles[:] += 0.25
+    fresh = harmonics.SphereGrid(2, grid.nodes, grid.weights, angles=grid.angles.copy())
+    assert np.array_equal(_real_basis_values(F2, 2, grid), _real_basis_values(F2, 2, fresh))
+    assert np.array_equal(_real_basis_values(F2, 2, grid)[:, 0], np.cos(2 * grid.angles))
+    shifted = field.MagnitudeData(2, grid, table).pair_samples(1, 2)
+    assert np.array_equal(shifted, field.MagnitudeData(2, fresh, table).pair_samples(1, 2))
+    assert not np.array_equal(shifted, field.MagnitudeData(2, sphere_grid(2, 13), table)
+                              .pair_samples(1, 2))
+
+
+def test_cold_tables_empties_every_per_grid_table():
+    # conftest's cold_tables calls cache_clear on each module-level object of
+    # the package that has one; the per-grid tables of the magnitude-data
+    # chain are among them
+    import importlib
+    import pkgutil
+
+    import herglotz
+    from herglotz import retrieve
+
+    for M in (2, 3):
+        u = random_field(2, M, F2, 1)
+        retrieve.retrieve_2d(magnitude_coeffs(u))
+    retrieve.retrieve_3d_mean(magnitude_coeffs(random_field(3, 2, Z3, 1)), Z3)
+    tables = {
+        "harmonics._array_key": lambda: len(harmonics._ARRAY_KEYS),
+        "field._synthesis_plan": lambda: field._synthesis_plan.cache_info().currsize,
+        "field._mirror_index": lambda: field._mirror_index.cache_info().currsize,
+        "retrieve._trig_table": lambda: retrieve._trig_table.cache_info().currsize,
+    }
+    assert all(size() for size in tables.values())
+    for info in pkgutil.iter_modules(herglotz.__path__):
+        for obj in vars(importlib.import_module(f"herglotz.{info.name}")).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+    assert {name: size() for name, size in tables.items()} == dict.fromkeys(tables, 0)

@@ -275,6 +275,44 @@ def test_explicit_pole_tables_keep_their_own_value_table_entries():
     assert harmonics._value_table.cache_info().currsize == 3
 
 
+def test_values_follow_a_writable_node_array_changed_in_place():
+    spec = BasisSpec("zonal", 3)
+    nodes = np.array(sphere_grid(3, 6).nodes)
+    before = spec.values(2, nodes)
+    nodes[:] = nodes[::-1]
+    after = spec.values(2, nodes)
+    assert np.array_equal(after, before[::-1])
+    assert id(nodes) not in harmonics._ARRAY_KEYS  # a writable array is read on each call
+
+
+def test_values_follow_the_base_of_a_read_only_view():
+    spec = BasisSpec("zonal", 3)
+    base = np.array(sphere_grid(3, 6).nodes)
+    view = base.view()
+    view.flags.writeable = False
+    before = spec.values(2, view)
+    base[:] = base[::-1]
+    assert np.array_equal(spec.values(2, view), before[::-1])
+    assert id(view) not in harmonics._ARRAY_KEYS  # the view does not own its memory
+
+
+def test_read_only_arrays_that_own_their_memory_are_keyed_once_while_they_live():
+    spec = BasisSpec("zonal", 3)
+    grid = sphere_grid(3, 6)
+    spec.values(2, grid.nodes)
+    poles = default_poles(3, 2)
+    assert set(harmonics._ARRAY_KEYS) == {id(grid.nodes), id(poles)}
+    assert harmonics._ARRAY_KEYS[id(grid.nodes)][1] == grid.nodes.tobytes()
+    # an array that dies takes its key with it
+    nodes = np.array(grid.nodes)
+    nodes.flags.writeable = False
+    first = spec.values(2, nodes)
+    assert id(nodes) in harmonics._ARRAY_KEYS
+    del nodes
+    assert len(harmonics._ARRAY_KEYS) == 2
+    assert spec.values(2, grid.nodes) is first
+
+
 def _per_pole_default_poles(d, m):
     # default_poles as one Gegenbauer recurrence per candidate pole
     n = harmonic_dim(d, m)
@@ -429,6 +467,8 @@ def test_basis_spec_validation():
         BasisSpec("nope", 3)
     with pytest.raises(ValueError):
         BasisSpec("zonal", 3, poles={1: np.array([[0.0, 0.0, 2.0]] * 3)})
+    with pytest.raises(ValueError, match="degree 1 contains non-unit vectors"):
+        BasisSpec("zonal", 3, poles={1: np.full((3, 3), np.nan)})
     with pytest.raises(ValueError, match="dimension d = 1 is below 2"):
         BasisSpec("zonal", 1)
     with pytest.raises(ValueError, match="zonal basis requires d >= 3, got d = 2"):
