@@ -259,8 +259,8 @@ class MagnitudeData:
         need = (M + 1, M + 1, 4 * M + 1 if self.dim == 2 else len(self.grid))
         if table.shape != need:
             raise ValueError(f"table has shape {table.shape}; degree {M} needs {need}")
-        lower, upper = _mirror_index(M)
-        table[lower] = table[upper]
+        lower = _mirror_index(M)
+        table[lower] = table[lower[::-1]]
         self.table = _read_only(table)
         self._samples = self._synthesize() if self.dim == 2 else table
 
@@ -343,12 +343,11 @@ class MagnitudeData:
 
 @lru_cache(maxsize=harmonics._TABLE_SIZE)
 def _mirror_index(M: int) -> tuple:
-    """Index arrays of the entries m > n of an (M + 1) x (M + 1) table and of
-    their mirror images n < m, once per degree and shared (read-only)."""
+    """np.tril_indices(M + 1, -1), the entries m > n of an (M + 1) x (M + 1)
+    table, once per degree and shared (read-only)."""
     lower = np.tril_indices(M + 1, -1)
-    upper = lower[::-1]
     _read_only(*lower)
-    return lower, upper
+    return lower
 
 
 @lru_cache(maxsize=harmonics._TABLE_SIZE)

@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import math
+import pkgutil
 import re
 
 import numpy as np
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_pow_int, round_nearest
 
-from herglotz import field, harmonics
+import herglotz
+from herglotz import field, harmonics, retrieve
 from herglotz.extract import RadialProfile, angular_decompose, radial_grid
 from herglotz.field import (
     HerglotzField,
@@ -677,8 +680,6 @@ def test_padding_to_its_own_degree_shares_the_coefficients():
 def test_no_comparison_or_retrieval_writes_to_a_fields_coefficients(u):
     # padded(M) at the field's own degree hands out the field itself, so the
     # chain must leave the arrays it reads as they are: frozen, any write raises
-    from herglotz import retrieve
-
     for vec in u.coeffs:
         vec.flags.writeable = False
     v = conjugate_field(u)
@@ -697,16 +698,10 @@ def test_no_comparison_or_retrieval_writes_to_a_fields_coefficients(u):
         retrieve.retrieve_3d_sparse(data, u.basis)
 
 
-def _angles_grid(count):
-    """A d = 2 grid whose angle array is writable."""
-    grid = sphere_grid(2, count)
-    return harmonics.SphereGrid(2, grid.nodes, grid.weights, angles=np.array(grid.angles))
-
-
 def test_the_d2_tables_follow_angles_changed_in_place():
-    from herglotz.retrieve import _real_basis_values
-
-    grid = _angles_grid(13)
+    _real_basis_values = retrieve._real_basis_values
+    std = sphere_grid(2, 13)
+    grid = harmonics.SphereGrid(2, std.nodes, std.weights, angles=np.array(std.angles))
     table = magnitude_coeffs(random_field(2, 3, F2, 1)).table
     _real_basis_values(F2, 2, grid)
     field.MagnitudeData(2, grid, table)
@@ -716,20 +711,13 @@ def test_the_d2_tables_follow_angles_changed_in_place():
     assert np.array_equal(_real_basis_values(F2, 2, grid)[:, 0], np.cos(2 * grid.angles))
     shifted = field.MagnitudeData(2, grid, table).pair_samples(1, 2)
     assert np.array_equal(shifted, field.MagnitudeData(2, fresh, table).pair_samples(1, 2))
-    assert not np.array_equal(shifted, field.MagnitudeData(2, sphere_grid(2, 13), table)
-                              .pair_samples(1, 2))
+    assert not np.array_equal(shifted, field.MagnitudeData(2, std, table).pair_samples(1, 2))
 
 
 def test_cold_tables_empties_every_per_grid_table():
     # conftest's cold_tables calls cache_clear on each module-level object of
     # the package that has one; the per-grid tables of the magnitude-data
     # chain are among them
-    import importlib
-    import pkgutil
-
-    import herglotz
-    from herglotz import retrieve
-
     for M in (2, 3):
         u = random_field(2, M, F2, 1)
         retrieve.retrieve_2d(magnitude_coeffs(u))
