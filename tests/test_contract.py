@@ -1,27 +1,37 @@
-"""The behaviour contract as a corpus.
+"""The behaviour contract as a corpus, in three parts.
 
-Each pipeline runs gen -> sample -> extract -> retrieve -> verify in process,
-through herglotz.cli.main, and stops at the first stage that exits nonzero.
-The test pins every exit code, the sha256 of each stage's stdout and stderr,
-and the sha256 of every file the pipeline writes.
+* Public names: every public entry of the herglotz package that is not a
+  module, with its call signature where inspect gives one (NAMES).
+* CLI flags: for every subcommand, the specfun functions included, each
+  argument's option strings (a positional's name), default, choices and
+  whether it is required (FLAGS).
+* Files and exit codes: each pipeline runs gen -> sample -> extract ->
+  retrieve -> verify in process, through herglotz.cli.main, and stops at the
+  first stage that exits nonzero. The test pins every exit code, the sha256 of
+  each stage's stdout and stderr, and the sha256 of every file the pipeline
+  writes (PINS).
 
-A change that moves a pinned output edits its pin and names the pipelines in
-CHANGES.md. The pins hold for one numpy and LAPACK build: a library upgrade
-re-pins on its own. ``python tests/test_contract.py`` prints the pins of the
-code in the working tree.
+A change that moves a pinned output edits its pin and names the pipelines,
+names or flags in CHANGES.md. The file pins hold for one numpy and LAPACK
+build: a library upgrade re-pins on its own. ``python tests/test_contract.py``
+prints the pins of the code in the working tree.
 """
 
+import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import os
 import pathlib
 import sys
 import tempfile
+import types
 
 import pytest
 
-from herglotz.cli import main
+import herglotz
+from herglotz.cli import build_parser, main
 
 # name -> gen flags; the first eight are the cli benchmark workload's pipelines
 PIPELINES = {
@@ -407,8 +417,186 @@ def _pin_text(record) -> str:
     return "\n".join(lines)
 
 
+def public_names() -> dict:
+    """{name: str(inspect.signature(obj)), or None where inspect gives none}
+    over every entry of vars(herglotz) that is public and not a module; the
+    submodules are left out, as they appear there only once imported."""
+    out = {}
+    for name, obj in sorted(vars(herglotz).items()):
+        if name.startswith("_") or isinstance(obj, types.ModuleType):
+            continue
+        try:
+            out[name] = str(inspect.signature(obj))
+        except (TypeError, ValueError):
+            out[name] = None
+    return out
+
+
+def cli_flags(parser=None, command="") -> dict:
+    """{subcommand: [(option strings, default, choices, required), ...]} for
+    every subcommand of the CLI parser, nested ones named by their path."""
+    out = {}
+    for action in (parser or build_parser())._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(cli_flags(sub, f"{command} {name}".lstrip()))
+        elif not isinstance(action, argparse._HelpAction):
+            strings = tuple(action.option_strings) or (action.dest,)
+            out.setdefault(command, []).append(
+                (strings, action.default, action.choices, action.required))
+    return out
+
+
+NAMES = {
+    'BasisSpec': "(kind: str, dim: int, normalization: str = 'raw', poles: dict = <factory>) -> None",
+    'BranchNotApplicableError': None,
+    'ConvergenceError': '(message, partial=None, terms=None)',
+    'ExtractionRankError': '(pairs, condition=None)',
+    'HerglotzField': '(dim: int, max_degree: int, basis: herglotz.harmonics.BasisSpec, coeffs: list) -> None',
+    'InconsistentDataError': '(message, residual=None)',
+    'MagnitudeData': '(dim: int, grid: herglotz.harmonics.SphereGrid, table: numpy.ndarray) -> None',
+    'MagnitudeGrid': '(dim: int, radii: numpy.ndarray, grid: herglotz.harmonics.SphereGrid, values: numpy.ndarray) -> None',
+    'ModeType': '(degree: int, type_i: bool, type_c: bool, type_r: bool, kappa: complex | None = None, theta: float | None = None) -> None',
+    'PairSolution': '(s: float, p: complex, moduli: tuple, assignments: tuple, phase_diff: float | None) -> None',
+    'Polynomial': '(nvars, terms=None)',
+    'RadialProfile': '(dim: int, frequency: int, radii: numpy.ndarray, values: numpy.ndarray) -> None',
+    'RetrievalResult': '(field: herglotz.field.HerglotzField, conjugate: herglotz.field.HerglotzField, classes_coincide: bool, branch: str, residual: float, modes: list = <factory>) -> None',
+    'SeriesBudget': '(rel_tol: float = 1e-14, max_terms: int = 256) -> None',
+    'SphereGrid': "(dim: int, nodes: numpy.ndarray, weights: numpy.ndarray, angles: numpy.ndarray | None = None, polar_t: numpy.ndarray | None = None, sub: 'SphereGrid | None' = None) -> None",
+    'TrivialEquivalence': '(verdict: str, c: complex | None, residual: float) -> None',
+    'UnmixReport': '(frequency: int, gamma: dict, residual: float, condition: float, method: str, warnings: list = <factory>) -> None',
+    'add_fields': '(u: herglotz.field.HerglotzField, v: herglotz.field.HerglotzField) -> herglotz.field.HerglotzField',
+    'angular_decompose': '(samples: herglotz.field.MagnitudeGrid, d: int) -> list',
+    'basis_eval': '(spec: herglotz.harmonics.BasisSpec, m: int, j: int, theta)',
+    'bessel_bound': '(nu, r) -> float',
+    'bessel_j': '(nu, r, budget: herglotz.specfun.SeriesBudget = SeriesBudget(rel_tol=1e-14, max_terms=256))',
+    'bessel_product_integral': '(n: int, m: int, alpha, r, quad_points: int = 512)',
+    'bessel_product_series': '(n: int, m: int, alpha, r, budget: herglotz.specfun.SeriesBudget = SeriesBudget(rel_tol=1e-14, max_terms=256))',
+    'canonicalize': '(u: herglotz.field.HerglotzField) -> herglotz.field.HerglotzField',
+    'classify_modes': '(u: herglotz.field.HerglotzField, v: herglotz.field.HerglotzField, tol: float = 1e-09) -> dict',
+    'conjugate_field': '(u: herglotz.field.HerglotzField) -> herglotz.field.HerglotzField',
+    'default_poles': '(d: int, m: int) -> numpy.ndarray',
+    'degree_multi_indices': '(d: int, m: int)',
+    'degree_power': '(u: herglotz.field.HerglotzField, m: int) -> float',
+    'equal_magnitude': '(u: herglotz.field.HerglotzField, v: herglotz.field.HerglotzField, tol: float | None = None) -> bool',
+    'eval_field': '(u: herglotz.field.HerglotzField, r, theta)',
+    'eval_field_grid': '(u: herglotz.field.HerglotzField, radii, theta) -> numpy.ndarray',
+    'extract_magnitude_data': '(samples: herglotz.field.MagnitudeGrid, d: int, M: int | None = None, method: str | None = None)',
+    'fourier2d_basis': '() -> herglotz.harmonics.BasisSpec',
+    'gegenbauer': '(m: int, lam, z, exact: bool = False)',
+    'gram_rank': '(functions, grid: herglotz.harmonics.SphereGrid)',
+    'harmonic_dim': '(d: int, m: int) -> int',
+    'laplacian': '(p: herglotz.poly.Polynomial) -> herglotz.poly.Polynomial',
+    'magnitude_coeffs': '(u: herglotz.field.HerglotzField, grid: herglotz.harmonics.SphereGrid | None = None) -> herglotz.field.MagnitudeData',
+    'magnitude_sq': '(u: herglotz.field.HerglotzField, r, theta) -> float',
+    'mean_coefficient': '(u: herglotz.field.HerglotzField, eta: float = 1.0) -> complex',
+    'p_alpha': '(alpha, d: int) -> herglotz.poly.Polynomial',
+    'radial_grid': '(count: int, eta: float = 1.0) -> numpy.ndarray',
+    'radial_unmix': "(profile: herglotz.extract.RadialProfile, M: int, d: int, method: str = 'lstsq') -> herglotz.extract.UnmixReport",
+    'random_field': '(dim: int, max_degree: int, basis: herglotz.harmonics.BasisSpec, seed: int, real: bool = False, sparse: bool = False, zonal: bool = False, zero_mean: bool = False, all_r: bool = False) -> herglotz.field.HerglotzField',
+    'retrieve_2d': '(data: herglotz.field.MagnitudeData, accept_tol: float = 1e-06) -> herglotz.retrieve.RetrievalResult',
+    'retrieve_3d_mean': '(data: herglotz.field.MagnitudeData, basis: herglotz.harmonics.BasisSpec, accept_tol: float = 1e-06) -> herglotz.retrieve.RetrievalResult',
+    'retrieve_3d_real': '(u: herglotz.field.HerglotzField, v: herglotz.field.HerglotzField, radii=None, tol: float = 1e-08) -> int',
+    'retrieve_3d_sparse': '(data: herglotz.field.MagnitudeData, basis: herglotz.harmonics.BasisSpec, accept_tol: float = 1e-06) -> herglotz.retrieve.RetrievalResult',
+    'retrieve_real_data': '(data: herglotz.field.MagnitudeData, basis: herglotz.harmonics.BasisSpec, accept_tol: float = 1e-06) -> herglotz.retrieve.RetrievalResult',
+    'sample_magnitude': '(u: herglotz.field.HerglotzField, radii, angular: int, dps: int | None = None) -> herglotz.field.MagnitudeGrid',
+    'solve_pair': '(s: float, p: complex, tol: float = 1e-09) -> herglotz.retrieve.PairSolution',
+    'solve_real_from_data': '(data: herglotz.field.MagnitudeData, basis: herglotz.harmonics.BasisSpec) -> herglotz.field.HerglotzField',
+    'sphere_grid': '(d: int, resolution: int) -> herglotz.harmonics.SphereGrid',
+    'surface_measure': '(d: int) -> float',
+    'trivially_equivalent': '(u: herglotz.field.HerglotzField, v: herglotz.field.HerglotzField, tol: float = 1e-09) -> herglotz.field.TrivialEquivalence',
+    'zonal_eval': '(m: int, d: int, zeta, theta)',
+}
+
+FLAGS = {
+    'gen': [
+        (('--dim',), 2, None, False),
+        (('--max-degree',), 3, None, False),
+        (('--basis',), None, ['fourier2d', 'zonal', 'palpha'], False),
+        (('--seed',), 0, None, False),
+        (('--real',), False, None, False),
+        (('--sparse',), False, None, False),
+        (('--zonal',), False, None, False),
+        (('--zero-mean',), False, None, False),
+        (('--all-r',), False, None, False),
+        (('--out',), None, None, True),
+    ],
+    'sample': [
+        (('field',), None, None, True),
+        (('--radial-nodes',), 48, None, False),
+        (('--angular-nodes',), None, None, False),
+        (('--out',), None, None, True),
+    ],
+    'extract': [
+        (('grid',), None, None, True),
+        (('--max-degree',), None, None, False),
+        (('--basis',), None, ['zonal', 'palpha'], False),
+        (('--out',), None, None, True),
+    ],
+    'retrieve': [
+        (('data',), None, None, True),
+        (('--branch',), 'auto', ['auto', 'mean', 'real', 'sparse'], False),
+        (('--max-degree',), None, None, False),
+        (('--basis',), None, ['zonal', 'palpha'], False),
+        (('--tol',), 1e-06, None, False),
+        (('--out',), None, None, True),
+    ],
+    'verify': [
+        (('field_a',), None, None, True),
+        (('field_b',), None, None, True),
+    ],
+    'canon': [
+        (('field',), None, None, True),
+        (('--out',), None, None, True),
+    ],
+    'specfun bessel-j': [
+        (('--nu',), None, None, True),
+        (('--r',), None, None, True),
+    ],
+    'specfun bessel-bound': [
+        (('--nu',), None, None, True),
+        (('--r',), None, None, True),
+    ],
+    'specfun gegenbauer': [
+        (('--degree',), None, None, True),
+        (('--lam',), None, None, True),
+        (('--z',), None, None, True),
+    ],
+    'specfun product-series': [
+        (('--n',), None, None, True),
+        (('--m',), None, None, True),
+        (('--alpha',), 0.0, None, False),
+        (('--r',), None, None, True),
+    ],
+    'specfun product-integral': [
+        (('--n',), None, None, True),
+        (('--m',), None, None, True),
+        (('--alpha',), 0.0, None, False),
+        (('--r',), None, None, True),
+        (('--quad-points',), 512, None, False),
+    ],
+}
+
+
+def test_public_names_match_their_pin():
+    assert public_names() == NAMES
+
+
+def test_cli_flags_match_their_pin():
+    assert cli_flags() == FLAGS
+
+
 if __name__ == "__main__":
-    print("PINS = {")
+    print("NAMES = {")
+    for name, sig in public_names().items():
+        print(f"    {name!r}: {sig!r},")
+    print("}\n\nFLAGS = {")
+    for command, options in cli_flags().items():
+        print(f"    {command!r}: [")
+        for option in options:
+            print(f"        {option!r},")
+        print("    ],")
+    print("}\n\nPINS = {")
     for name, flags in PIPELINES.items():
         with tempfile.TemporaryDirectory() as tmp:
             print(f'    "{name}": {{\n{_pin_text(run_pipeline(flags, tmp))}\n    }},')
