@@ -142,7 +142,7 @@ def _require_same_basis(u, v):
     if u.dim != v.dim:
         raise ValueError("fields have different dimensions")
     bu, bv = u.basis, v.basis
-    if bu.kind != bv.kind or bu.normalization != bv.normalization:
+    if bu.kind != bv.kind:
         raise ValueError("fields use different bases")
     if bu.kind == harmonics.ZONAL:
         for m in range(min(u.max_degree, v.max_degree) + 1):
@@ -534,14 +534,13 @@ def trivially_equivalent(u: HerglotzField, v: HerglotzField, tol: float = COEFF_
 
 
 def degree_power(u: HerglotzField, m: int) -> float:
-    """sum_k |a_{m,k}|^2 in orthonormalized coordinates.
-
-    For fourier2d and orthonormalized bases this is the plain sum of squares;
-    raw real bases go through the degree-m Gram matrix (a* G a)."""
+    """sum_k |a_{m,k}|^2 in orthonormal coordinates, the L^2(S^{d-1}) norm
+    squared of u's degree-m angular part: the plain sum of squares for
+    fourier2d, a* G a through the degree-m Gram matrix for the real bases."""
     if m > u.max_degree:
         return 0.0
     vec = u.coeffs[m]
-    if u.basis.kind == harmonics.FOURIER2D or u.basis.normalization == harmonics.ORTHONORMAL:
+    if u.basis.kind == harmonics.FOURIER2D:
         return float(np.sum(np.abs(vec) ** 2))
     G = u.basis.gram(m)
     return float((np.conj(vec) @ G @ vec).real)

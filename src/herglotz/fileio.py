@@ -16,6 +16,7 @@ from .harmonics import BasisSpec, SphereGrid, harmonic_dim, sphere_grid
 
 FIELD_MAGIC = "herglotz-field 1"
 DATA_MAGIC = "herglotz-magnitude-data 1"
+NORMALIZATION = "raw"  # the field descriptor's only normalization record
 
 
 class FileFormatError(ValueError):
@@ -55,7 +56,7 @@ def atomic_write(path: str, text: str):
 
 
 def _basis_lines(basis: BasisSpec, max_degree: int):
-    lines = [f"basis {basis.kind}", f"normalization {basis.normalization}"]
+    lines = [f"basis {basis.kind}", f"normalization {NORMALIZATION}"]
     if basis.kind == harmonics.ZONAL:
         for m in range(max_degree + 1):
             table = basis.poles_for(m)
@@ -96,7 +97,7 @@ def _read_records(text: str, magic: str, required: tuple, body):
         raise FileFormatError(f"expected header {magic!r}", rows[0][0] if rows else 1)
     head = {key: None for key in required if key != "basis"}
     head_lines = {}
-    kind = normalization = kind_line = None
+    kind = kind_line = None
     poles: dict = {}
     for i, s in rows[1:]:
         key, *args = s.split()
@@ -108,9 +109,8 @@ def _read_records(text: str, magic: str, required: tuple, body):
                 if kind not in harmonics.KINDS:
                     raise FileFormatError(f"unknown basis kind {kind!r}", i)
             elif key == "normalization":
-                normalization = args[0]
-                if normalization not in harmonics.NORMALIZATIONS:
-                    raise FileFormatError(f"unknown normalization {normalization!r}", i)
+                if args[0] != NORMALIZATION:
+                    raise FileFormatError(f"unknown normalization {args[0]!r}", i)
             elif key == "pole":
                 m, j = int(args[0]), int(args[1])
                 if j in poles.setdefault(m, {}):
@@ -153,7 +153,7 @@ def _read_records(text: str, magic: str, required: tuple, body):
         if missing:
             raise FileFormatError(f"degree {m} has no pole {missing[0]}", kind_line)
     try:
-        return head, BasisSpec(kind, dim, normalization or harmonics.RAW, table), head_lines
+        return head, BasisSpec(kind, dim, table), head_lines
     except ValueError as e:
         # what is left concerns the basis as a whole: its kind against dim
         raise FileFormatError(str(e), kind_line)

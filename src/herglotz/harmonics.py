@@ -256,14 +256,11 @@ def _palpha_table(d: int, m: int) -> tuple:
 FOURIER2D = "fourier2d"
 ZONAL = "zonal"
 PALPHA = "palpha"
-RAW = "raw"
-ORTHONORMAL = "orthonormal"
 KINDS = (FOURIER2D, ZONAL, PALPHA)
-NORMALIZATIONS = (RAW, ORTHONORMAL)
 
 
 def _evaluate(kind: str, dim: int, m: int, poles, theta: np.ndarray) -> np.ndarray:
-    """Values of the raw degree-m functions at points theta (n, d) -> (n, N(m));
+    """Values of the degree-m functions at points theta (n, d) -> (n, N(m));
     poles is the degree's pole table for the zonal family, else None."""
     if kind == FOURIER2D:
         ang = np.arctan2(theta[:, 1], theta[:, 0])
@@ -313,22 +310,19 @@ class BasisSpec:
 
     poles maps degree -> (N(m), d) array for the zonal family; a degree it
     lacks is filled from default_poles when first asked for. A basis keeps no
-    other state: the default pole tables, the p_alpha polynomials and the raw
-    values on node arrays (see _raw_values) are built once per process and
+    other state: the default pole tables, the p_alpha polynomials and the
+    values on node arrays (see values) are built once per process and
     shared by every basis. No table is locked: parallelize across processes,
     not threads.
     """
 
     kind: str
     dim: int
-    normalization: str = RAW
     poles: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.normalization not in NORMALIZATIONS:
-            raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.dim < 2:
             raise ValueError(f"dimension d = {self.dim} is below 2")
         if self.kind == FOURIER2D and self.dim != 2:
@@ -354,45 +348,29 @@ class BasisSpec:
     def palpha_for(self, m: int) -> tuple:
         return _palpha_table(self.dim, m)
 
-    def _raw_values(self, m: int, theta: np.ndarray) -> np.ndarray:
-        """Raw degree-m values at float points theta (n, d) -> (n, N(m)).
+    def values(self, m: int, theta) -> np.ndarray:
+        """Degree-m basis values at points theta (n, d) -> (n, N(m)).
 
         An array of two or more nodes reads _value_table, keyed on the kind, d,
         m, the degree's pole table and the nodes' shape and bytes (_array_key):
         every basis with the same functions shares one entry. A single point is
         evaluated afresh.
         """
+        theta = np.atleast_2d(np.asarray(theta, dtype=float))
         poles = self.poles_for(m) if self.kind == ZONAL else None
         if len(theta) < 2:
             return _evaluate(self.kind, self.dim, m, poles, theta)
         key = None if poles is None else _array_key(poles)
         return _value_table(self.kind, self.dim, m, key, theta.shape, _array_key(theta))
 
-    def ortho_transform(self, m: int) -> np.ndarray:
-        """Matrix T with orthonormal functions E = raw @ T (identity for fourier2d)."""
+    def gram(self, m: int) -> np.ndarray:
+        """L^2(S^{d-1}) Gram matrix of the degree-m basis functions: the
+        identity for fourier2d, a quadrature for the real bases."""
         if self.kind == FOURIER2D:
             return np.eye(harmonic_dim(2, m))
-        return np.linalg.inv(np.linalg.cholesky(self._raw_gram(m))).T
-
-    def _raw_gram(self, m: int) -> np.ndarray:
-        """Quadrature Gram matrix of the raw degree-m functions."""
         grid = sphere_grid(self.dim, max(2 * m + 4, 8))
-        F = self._raw_values(m, grid.nodes)
+        F = self.values(m, grid.nodes)
         return F.T @ (F * grid.weights[:, None])
-
-    def gram(self, m: int) -> np.ndarray:
-        """L^2(S^{d-1}) Gram matrix of the degree-m basis functions in force."""
-        if self.kind == FOURIER2D or self.normalization == ORTHONORMAL:
-            return np.eye(harmonic_dim(self.dim, m))
-        return self._raw_gram(m)
-
-    def values(self, m: int, theta) -> np.ndarray:
-        """Degree-m basis values at theta, respecting the normalization flag."""
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        F = self._raw_values(m, theta)
-        if self.normalization == ORTHONORMAL and self.kind != FOURIER2D:
-            F = F @ self.ortho_transform(m)
-        return F
 
 
 def fourier2d_basis() -> BasisSpec:

@@ -527,6 +527,8 @@ def test_field_reader_rejects_a_degree_without_poles():
     pytest.param(_DATA3, 5, "basis zonl", "line 5: unknown basis kind 'zonl'", id="basis-kind"),
     pytest.param(_DATA3, 6, "normalization unit", "line 6: unknown normalization 'unit'",
                  id="normalization-kind"),
+    pytest.param(_DATA3, 6, "normalization orthonormal",
+                 "line 6: unknown normalization 'orthonormal'", id="normalization-orthonormal"),
     pytest.param(_DATA3, 9, "pole 1 2 0 1 1",
                  "line 9: pole table for degree 1 contains non-unit vectors", id="pole-norm"),
     # the parent's reader let a repeated record overwrite the first, and read

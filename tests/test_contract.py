@@ -448,7 +448,7 @@ def cli_flags(parser=None, command="") -> dict:
 
 
 NAMES = {
-    'BasisSpec': "(kind: str, dim: int, normalization: str = 'raw', poles: dict = <factory>) -> None",
+    'BasisSpec': '(kind: str, dim: int, poles: dict = <factory>) -> None',
     'BranchNotApplicableError': None,
     'ConvergenceError': '(message, partial=None, terms=None)',
     'ExtractionRankError': '(pairs, condition=None)',

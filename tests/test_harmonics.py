@@ -449,15 +449,6 @@ def test_default_poles_deterministic():
     assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
 
 
-def test_orthonormalized_basis_gram_identity():
-    spec = BasisSpec("zonal", 3, "orthonormal")
-    grid = sphere_grid(3, 20)
-    for m in (0, 1, 3):
-        F = spec.values(m, grid.nodes)
-        G = F.T @ (F * grid.weights[:, None])
-        assert np.abs(G - np.eye(F.shape[1])).max() < 1e-10
-
-
 def test_basis_spec_validation():
     with pytest.raises(ValueError):
         BasisSpec("fourier2d", 3)
