@@ -39,14 +39,19 @@ def check_degree(max_degree: int):
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
 
 
+def _refuse_non_finite(radii: np.ndarray):
+    """ValueError naming the first radius that is inf or nan."""
+    if (bad := radii[~np.isfinite(radii)]).size:
+        raise ValueError(f"non-finite radius {bad[0]}")
+
+
 def check_radii(radii) -> np.ndarray:
     """radii as a read-only float copy; ValueError unless a nonempty 1-D array,
     finite (naming the first value that is not), positive and strictly increasing."""
     radii = np.array(radii, dtype=float)
     if radii.ndim != 1 or not radii.size:
         raise ValueError(f"radii must be a nonempty 1-D array, got shape {radii.shape}")
-    if (bad := radii[~np.isfinite(radii)]).size:
-        raise ValueError(f"non-finite radius {bad[0]}")
+    _refuse_non_finite(radii)
     if np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be positive and strictly increasing")
     return _read_only(radii)
@@ -165,10 +170,12 @@ def eval_field_grid(u: HerglotzField, radii, theta) -> np.ndarray:
     """Field values on the product of ``radii`` and points ``theta`` (n, d).
 
     Returns an array of shape (len(radii), len(theta)). Radii may include 0,
-    where the m = 0 limit is used.
+    where the m = 0 limit is used, and come in any order; an inf or nan radius
+    raises ValueError.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    _refuse_non_finite(radii)
     if np.any(radii < 0):
         raise ValueError("radii must be nonnegative")
     if np.any(radii > WORKING_RADIUS + 1e-12):
@@ -314,24 +321,17 @@ class MagnitudeData:
             best = max(best, np.abs(self.table).max(initial=0.0))
         return float(best)
 
-    def _padded(self, M) -> np.ndarray:
-        """The table zero-padded to the degree range 0..M (read-only)."""
-        extra = M - self.max_degree
-        if not extra:
-            return self.table
-        q_pad = (2 * extra, 2 * extra) if self.dim == 2 else (0, 0)
-        return np.pad(self.table, ((0, extra), (0, extra), q_pad))
-
     def _joint_tables(self, other):
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
+        if self.max_degree != other.max_degree:
+            raise ValueError(f"degrees differ: {self.max_degree} and {other.max_degree}")
         if self.dim != 2 and len(self.grid) != len(other.grid):
             raise ValueError("sample grids differ; cannot compare")
-        M = max(self.max_degree, other.max_degree)
-        return self._padded(M), other._padded(M)
+        return self.table, other.table
 
     def deviation(self, other) -> float:
-        """Max absolute deviation over all pairs, on the joint degree range: of
+        """Max absolute deviation over all pairs of two data of one degree: of
         the Fourier tables for d = 2, of the samples for d >= 3."""
         a, b = self._joint_tables(other)
         return float(np.abs(a - b).max(initial=0.0))

@@ -156,6 +156,11 @@ def test_data_file_roundtrip(tmp_path):
     assert basis is None
     assert back.max_degree == 3
     assert data.deviation(back) < 1e-15
+    # data of another degree is refused, not zero-padded to the larger one
+    lower = magnitude_coeffs(random_field(2, 2, fourier2d_basis(), seed=5))
+    for compare in (data.deviation, data.subtract):
+        with pytest.raises(ValueError, match="degrees differ: 3 and 2"):
+            compare(lower)
 
 
 def test_data_file_rejects_impossible_records():

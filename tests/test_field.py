@@ -581,7 +581,8 @@ def test_field_validation():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_radii_are_refused_by_value(bad):
     # np.diff comparisons with NaN are false, so a NaN radius once passed the
-    # ordering check, and extraction then failed with a series ConvergenceError
+    # ordering check, and extraction then failed with a series ConvergenceError;
+    # eval_field read a NaN radius as 0 and ran an infinite one out of terms
     radii = np.array([0.5, bad, 0.9])
     u = random_field(2, 2, F2, seed=1)
     for build in (
@@ -589,6 +590,8 @@ def test_non_finite_radii_are_refused_by_value(bad):
         lambda: RadialProfile(2, 0, radii, np.ones(3)),
         lambda: sample_magnitude(u, radii, 9),
         lambda: sample_magnitude(u, radii, 9, dps=30),
+        lambda: eval_field_grid(u, radii, sphere_grid(2, 9).nodes),
+        lambda: eval_field(u, bad, [1.0, 0.0]),
     ):
         with pytest.raises(ValueError, match=f"non-finite radius {bad}"):
             build()
