@@ -6,6 +6,7 @@ representative of the solution class {c u, c conj(u)} and post-verify by
 forward synthesis against the input data.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -77,9 +78,12 @@ class PairSolution:
 
 
 def solve_pair(s: float, p: complex, tol: float = 1e-9) -> PairSolution:
-    """Solve the single-mode system |a|^2 + |b|^2 = s, a conj(b) = p."""
+    """Solve the single-mode system |a|^2 + |b|^2 = s, a conj(b) = p; an inf
+    or nan in s or p raises InconsistentDataError."""
     s = float(s)
     p = complex(p)
+    if not (math.isfinite(s) and cmath.isfinite(p)):
+        raise InconsistentDataError(f"non-finite pair data: s = {s}, p = {p}")
     scale = 1.0 + abs(s)
     if s < -tol * scale:
         raise InconsistentDataError(f"negative mode power s = {s}")

@@ -79,6 +79,16 @@ def test_solve_pair_inconsistent():
         solve_pair(-0.5, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["s", "p"])
+def test_solve_pair_refuses_non_finite_data(where, bad):
+    # a nan s once came back as moduli (nan, 0.0), and a nan p as phase nan
+    s, p = (bad, 0.1) if where == "s" else (1.0, complex(bad, 0.0))
+    with pytest.raises(InconsistentDataError, match="non-finite pair data") as err:
+        solve_pair(s, p)
+    assert str(bad) in str(err.value)
+
+
 @pytest.mark.parametrize("slot", [(0, 0, 6), (1, 1, 6), (1, 2, 9)])
 def test_retrieve_2d_refuses_nan_data(slot):
     # NaN passes a test of residual > tolerance; the slots send the data down
