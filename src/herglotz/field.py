@@ -331,8 +331,8 @@ class MagnitudeData:
         return self.table, other.table
 
     def deviation(self, other) -> float:
-        """Max absolute deviation over all pairs of two data of one degree: of
-        the Fourier tables for d = 2, of the samples for d >= 3."""
+        """Max absolute deviation over all pairs from other data of the same
+        degree: of the Fourier tables for d = 2, of the samples for d >= 3."""
         a, b = self._joint_tables(other)
         return float(np.abs(a - b).max(initial=0.0))
 
