@@ -122,39 +122,16 @@ class HerglotzField:
 
 
 def add_fields(u: HerglotzField, v: HerglotzField) -> HerglotzField:
-    _require_same_basis(u, v)
+    u.basis.require_same(v.basis, min(u.max_degree, v.max_degree))
     M = max(u.max_degree, v.max_degree)
     a, b = u.padded(M), v.padded(M)
     return HerglotzField(u.dim, M, u.basis, [x + y for x, y in zip(a.coeffs, b.coeffs)])
 
 
 def conjugate_field(u: HerglotzField) -> HerglotzField:
-    """The coefficient table of conj(u).
-
-    fourier2d: swap the (+m, -m) entries and conjugate; real bases: conjugate
-    entrywise.
-    """
-    out = []
-    for m, vec in enumerate(u.coeffs):
-        if u.basis.kind == harmonics.FOURIER2D and m >= 1:
-            out.append(np.array([np.conj(vec[1]), np.conj(vec[0])]))
-        else:
-            out.append(np.conj(vec))
+    """The coefficient table of conj(u), degree by degree (BasisSpec.conjugate)."""
+    out = [u.basis.conjugate(m, vec) for m, vec in enumerate(u.coeffs)]
     return HerglotzField(u.dim, u.max_degree, u.basis, out)
-
-
-def _require_same_basis(u, v):
-    if u.dim != v.dim:
-        raise ValueError("fields have different dimensions")
-    bu, bv = u.basis, v.basis
-    if bu.kind != bv.kind:
-        raise ValueError("fields use different bases")
-    if bu.kind == harmonics.ZONAL:
-        for m in range(min(u.max_degree, v.max_degree) + 1):
-            a, b = bu.poles_for(m), bv.poles_for(m)
-            # a table is finite (BasisSpec), so one array is close to itself
-            if a is not b and not np.allclose(a, b, atol=1e-12):
-                raise ValueError("zonal pole tables differ")
 
 
 # --------------------------------------------------------------------------
@@ -205,9 +182,7 @@ def eval_field_grid(u: HerglotzField, radii, theta) -> np.ndarray:
 
 def eval_field(u: HerglotzField, r, theta):
     """Value of u at radius r and unit direction theta."""
-    theta = np.asarray(theta, dtype=float)
-    if abs(np.linalg.norm(theta) - 1.0) > 1e-9:
-        raise ValueError("theta must be a unit vector")
+    theta = harmonics._check_unit(theta, "theta", 1e-9)
     return complex(eval_field_grid(u, [float(r)], theta[None, :])[0, 0])
 
 
@@ -439,7 +414,7 @@ def equal_magnitude(u: HerglotzField, v: HerglotzField, tol: float | None = None
     if tol is None:
         tol = comparison_tol(u.dim)
     _check_tol(tol, "tol")
-    _require_same_basis(u, v)
+    u.basis.require_same(v.basis, min(u.max_degree, v.max_degree))
     M = max(u.max_degree, v.max_degree)
     grid = default_data_grid(u.dim, M)
     du = magnitude_coeffs(u.padded(M), grid)
@@ -483,7 +458,7 @@ class TrivialEquivalence:
     residual: float
 
     def __post_init__(self):
-        if self.c is not None and abs(abs(self.c) - 1.0) > 1e-12:
+        if self.c is not None and not abs(abs(self.c) - 1.0) <= 1e-12:  # nan is not unimodular
             raise ValueError("c must be unimodular")
 
     @property
@@ -508,7 +483,7 @@ def trivially_equivalent(u: HerglotzField, v: HerglotzField, tol: float = COEFF_
     """Search for a unimodular c with v = c u or v = c conj(u) at the coefficient
     level; a nan, infinite or negative tol raises ValueError."""
     _check_tol(tol, "tol")
-    _require_same_basis(u, v)
+    u.basis.require_same(v.basis, min(u.max_degree, v.max_degree))
     M = max(u.max_degree, v.max_degree)
     au = u.padded(M).flat()
     av = v.padded(M).flat()
@@ -539,11 +514,7 @@ def degree_power(u: HerglotzField, m: int) -> float:
     fourier2d, a* G a through the degree-m Gram matrix for the real bases."""
     if m > u.max_degree:
         return 0.0
-    vec = u.coeffs[m]
-    if u.basis.kind == harmonics.FOURIER2D:
-        return float(np.sum(np.abs(vec) ** 2))
-    G = u.basis.gram(m)
-    return float((np.conj(vec) @ G @ vec).real)
+    return u.basis.power(m, u.coeffs[m])
 
 
 def mean_coefficient(u: HerglotzField, eta: float = 1.0) -> complex:
@@ -603,12 +574,7 @@ def random_field(
             )
         coeffs[0] = np.zeros(1, dtype=complex)
     if real:
-        if basis.kind == harmonics.FOURIER2D:
-            coeffs[0] = coeffs[0].real.astype(complex)
-            for m in range(1, max_degree + 1):
-                coeffs[m][1] = np.conj(coeffs[m][0])
-        else:
-            coeffs = [v.real.astype(complex) for v in coeffs]
+        coeffs = [basis.real_part(m, v) for m, v in enumerate(coeffs)]
     if sparse or zonal:
         for m in range(max_degree + 1):
             keep = 0 if zonal else int(rng.integers(len(coeffs[m])))

@@ -108,10 +108,11 @@ def laplacian(p: Polynomial) -> Polynomial:
 # sphere grids
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereGrid:
     """Quadrature nodes and positive weights on S^{d-1}, summing to the surface
-    measure; for d >= 3, nodes[:, -1] == np.repeat(polar_t, azimuth_count)."""
+    measure; for d >= 3, nodes[:, -1] == np.repeat(polar_t, azimuth_count).
+    Grids compare and hash by identity."""
 
     dim: int
     nodes: np.ndarray  # (n, dim)
@@ -178,9 +179,9 @@ def sphere_grid(d: int, resolution: int) -> SphereGrid:
     raise ValueError(f"unsupported dimension {d} (grids exist for d in {{2, 3, 4}})")
 
 
-def _check_unit(v, name):
+def _check_unit(v, name, tol=SURFACE_TOL):
     v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > SURFACE_TOL:
+    if not abs(np.linalg.norm(v) - 1.0) <= tol:  # nan is not a unit vector
         raise ValueError(f"{name} must be a unit vector")
     return v
 
@@ -286,7 +287,8 @@ def _array_key(a: np.ndarray) -> bytes:
         return a.tobytes()
     entry = _ARRAY_KEYS.get(id(a))
     if entry is None or entry[0]() is not a:
-        ref = weakref.ref(a, lambda _, i=id(a): _ARRAY_KEYS.pop(i, None))
+        # the dict is bound, not looked up: an array may outlive the module's globals
+        ref = weakref.ref(a, lambda _, i=id(a), keys=_ARRAY_KEYS: keys.pop(i, None))
         entry = _ARRAY_KEYS[id(a)] = (ref, a.tobytes())
     return entry[1]
 
@@ -304,6 +306,16 @@ def _value_table(kind: str, dim: int, m: int, poles: bytes | None, shape: tuple,
     return _read_only(_evaluate(kind, dim, m, poles, np.frombuffer(nodes).reshape(shape)))
 
 
+@lru_cache(maxsize=_TABLE_SIZE)
+def _trig_table(m: int, angles: bytes) -> np.ndarray:
+    """(cos m t, sin m t) on the angles given by their bytes, or the constant 1
+    for m = 0; once per key and shared (read-only)."""
+    ang = np.frombuffer(angles)
+    if m == 0:
+        return _read_only(np.ones((len(ang), 1)))
+    return _read_only(np.stack([np.cos(m * ang), np.sin(m * ang)], axis=1))
+
+
 @dataclass(eq=False)
 class BasisSpec:
     """Which spherical-harmonic basis is in force.
@@ -313,7 +325,7 @@ class BasisSpec:
     other state: the default pole tables, the p_alpha polynomials and the
     values on node arrays (see values) are built once per process and
     shared by every basis. No table is locked: parallelize across processes,
-    not threads.
+    not threads. Every decision that turns on the kind is a method here.
     """
 
     kind: str
@@ -371,6 +383,56 @@ class BasisSpec:
         grid = sphere_grid(self.dim, max(2 * m + 4, 8))
         F = self.values(m, grid.nodes)
         return F.T @ (F * grid.weights[:, None])
+
+    def power(self, m: int, vec) -> float:
+        """a* gram(m) a for degree-m coefficients a = vec: a sum of squares for fourier2d."""
+        if self.kind == FOURIER2D:
+            return float(np.sum(np.abs(vec) ** 2))
+        return float((np.conj(vec) @ self.gram(m) @ vec).real)
+
+    def conjugate(self, m: int, vec) -> np.ndarray:
+        """Degree-m coefficients of conj(f) for f with coefficients vec: the
+        (+m, -m) entries swapped and conjugated for fourier2d, else vec conjugated."""
+        if self.kind == FOURIER2D and m >= 1:
+            return np.array([np.conj(vec[1]), np.conj(vec[0])])
+        return np.conj(vec)
+
+    def real_part(self, m: int, vec) -> np.ndarray:
+        """Degree-m coefficients of a real function drawn from vec: (a, conj(a))
+        from the +m entry a for fourier2d, else the real parts."""
+        if self.kind == FOURIER2D and m >= 1:
+            return np.array([vec[0], np.conj(vec[0])])
+        return vec.real.astype(complex)
+
+    def real_values(self, m: int, grid: SphereGrid) -> np.ndarray:
+        """Real degree-m functions on the grid (read-only): (cos m t, sin m t)
+        for fourier2d (_trig_table), the basis functions for the real bases."""
+        if self.kind == FOURIER2D:
+            return _trig_table(m, _array_key(grid.angles))
+        return np.real(self.values(m, grid.nodes))
+
+    def real_coeffs(self, m: int, vec: np.ndarray) -> np.ndarray:
+        """Degree-m coefficients of the real function real_values(m, .) @ vec."""
+        if self.kind != FOURIER2D:
+            return vec.astype(complex)
+        if m == 0:
+            return np.array([vec[0] + 0j])
+        a, b = vec
+        return np.array([(a - 1j * b) / 2, (a + 1j * b) / 2])
+
+    def require_same(self, other: "BasisSpec", max_degree: int):
+        """ValueError unless other holds the same functions up to max_degree:
+        equal d and kind, and zonal pole tables within 1e-12."""
+        if self.dim != other.dim:
+            raise ValueError("fields have different dimensions")
+        if self.kind != other.kind:
+            raise ValueError("fields use different bases")
+        if self.kind == ZONAL:
+            for m in range(max_degree + 1):
+                a, b = self.poles_for(m), other.poles_for(m)
+                # a table is finite (__post_init__), so one array is close to itself
+                if a is not b and not np.allclose(a, b, atol=1e-12):
+                    raise ValueError("zonal pole tables differ")
 
 
 def fourier2d_basis() -> BasisSpec:

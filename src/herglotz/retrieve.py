@@ -9,7 +9,6 @@ forward synthesis against the input data.
 import cmath
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,8 +25,7 @@ from .field import (
     magnitude_coeffs,
     trivially_equivalent,
 )
-from .harmonics import BasisSpec, _array_key, harmonic_dim, sphere_grid
-from .specfun import _read_only
+from .harmonics import BasisSpec, harmonic_dim, sphere_grid
 
 ACTIVE_TOL = 1e-10  # below this a mode power is treated as exactly zero
 ACCEPT_TOL = 1e-6  # forward residual accepted as consistent data
@@ -359,34 +357,6 @@ def _cosine_phase_candidates(data, n, fixed, rho, theta, chi):
 # real fields from data (shared by the mean branches and the CLI real branch)
 
 
-def _real_basis_values(basis: BasisSpec, m: int, grid) -> np.ndarray:
-    """Real-valued degree-m basis on the grid (read-only): the real
-    trigonometric pair for fourier2d, the basis functions themselves for real
-    bases."""
-    if basis.kind == harmonics.FOURIER2D:
-        return _trig_table(m, _array_key(grid.angles))
-    return np.real(basis.values(m, grid.nodes))
-
-
-@lru_cache(maxsize=harmonics._TABLE_SIZE)
-def _trig_table(m: int, angles: bytes) -> np.ndarray:
-    """(cos m t, sin m t) on the angles given by their bytes, or the constant 1
-    for m = 0; once per key and shared (read-only)."""
-    ang = np.frombuffer(angles)
-    if m == 0:
-        return _read_only(np.ones((len(ang), 1)))
-    return _read_only(np.stack([np.cos(m * ang), np.sin(m * ang)], axis=1))
-
-
-def _real_vec_to_coeffs(basis: BasisSpec, m: int, vec: np.ndarray) -> np.ndarray:
-    if basis.kind == harmonics.FOURIER2D:
-        if m == 0:
-            return np.array([vec[0] + 0j])
-        a, b = vec
-        return np.array([(a - 1j * b) / 2, (a + 1j * b) / 2])
-    return vec.astype(complex)
-
-
 def _weighted_lstsq(A: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Least-squares x with A x = b in the quadrature-weighted norm of the grid."""
     sw = np.sqrt(weights)
@@ -443,14 +413,14 @@ def solve_real_from_data(data: MagnitudeData, basis: BasisSpec) -> HerglotzField
     if not active:
         return field_out
     m0 = active[0]
-    Y0 = _real_basis_values(basis, m0, grid)
+    Y0 = basis.real_values(m0, grid)
     b0 = _rank1_degree(diag[m0], Y0, grid.weights, scale)
     vectors = {m0: b0}
     w0 = Y0 @ b0
     for n in active:
         if n == m0:
             continue
-        Yn = _real_basis_values(basis, n, grid)
+        Yn = basis.real_values(n, grid)
         bn = _weighted_lstsq(w0[:, None] * Yn, data.pair_samples(m0, n), grid.weights)
         fit = (Yn @ bn) ** 2
         if np.abs(fit - diag[n]).max() > 1e-5 * scale:
@@ -459,7 +429,7 @@ def solve_real_from_data(data: MagnitudeData, basis: BasisSpec) -> HerglotzField
             )
         vectors[n] = bn
     coeffs = [
-        _real_vec_to_coeffs(basis, m, vectors[m])
+        basis.real_coeffs(m, vectors[m])
         if m in vectors
         else np.zeros(harmonic_dim(data.dim, m), dtype=complex)
         for m in range(M + 1)
@@ -548,17 +518,17 @@ def _retrieve_mean(data: MagnitudeData, basis: BasisSpec, s0: float,
     global sign of the solution class."""
     M = data.max_degree
     grid = data.grid
-    y0 = float(_real_basis_values(basis, 0, grid)[0, 0])
+    y0 = float(basis.real_values(0, grid)[0, 0])
     a0 = math.sqrt(s0) / y0
     vectors = [np.array([a0])]
     modes = [{"m": 0, "mean": a0}]
     for n in range(1, M + 1):
-        Yn = _real_basis_values(basis, n, grid)
+        Yn = basis.real_values(n, grid)
         re_n = _weighted_lstsq(Yn, data.pair_samples(0, n) / (a0 * y0), grid.weights)
         vectors.append(re_n)
         modes.append({"m": n, "re_power": float(np.sum(re_n**2))})
     w_re = HerglotzField(
-        data.dim, M, basis, [_real_vec_to_coeffs(basis, m, v) for m, v in enumerate(vectors)]
+        data.dim, M, basis, [basis.real_coeffs(m, v) for m, v in enumerate(vectors)]
     )
     resid_data = data.subtract(magnitude_coeffs(w_re, grid))
     w_im = solve_real_from_data(resid_data, basis)
@@ -590,7 +560,7 @@ def retrieve_3d_sparse(data: MagnitudeData, basis: BasisSpec,
     yvals = {}
     for m in range(M + 1):
         diag = data.pair_samples(m, m)
-        yvals[m] = _real_basis_values(basis, m, grid)
+        yvals[m] = basis.real_values(m, grid)
         if np.abs(diag).max(initial=0.0) <= act_tol:
             modes.append({"m": m, "active": False})
             continue

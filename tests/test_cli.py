@@ -277,6 +277,21 @@ def test_retrieve_on_a_grid_file_extracts_first(tmp_path, capsys):
     assert via_grid.read_bytes() == via_data.read_bytes()
 
 
+def test_retrieve_on_a_d3_grid_file_takes_the_data_files_basis(tmp_path, capsys):
+    # a grid file names no basis: for d >= 3 retrieve builds the default one,
+    # which extract writes into the data file
+    f, g, d = tmp_path / "u.field", tmp_path / "u.grid", tmp_path / "u.data"
+    via_data, via_grid = tmp_path / "a.field", tmp_path / "b.field"
+    assert run(["gen", "--dim", "3", "--zonal", "--max-degree", "4", "--seed", "0",
+                "--out", str(f)]) == 0
+    assert run(["sample", str(f), "--out", str(g)]) == 0
+    assert run(["extract", str(g), "--out", str(d)]) == 0
+    assert run(["retrieve", str(d), "--out", str(via_data)]) == 0
+    assert run(["retrieve", str(g), "--out", str(via_grid)]) == 0
+    capsys.readouterr()
+    assert via_grid.read_bytes() == via_data.read_bytes()
+
+
 def test_verify_identity_output(tmp_path, capsys):
     f1 = tmp_path / "a.field"
     f2 = tmp_path / "b.field"

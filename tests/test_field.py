@@ -236,6 +236,30 @@ def test_trivially_equivalent_verdicts():
     assert trivially_equivalent(ur, conjugate_field(ur)).verdict == "Both"
 
 
+def test_trivial_equivalence_refuses_a_nan_c():
+    # |nan| - 1 > tol is False, so the unimodular check once let nan through
+    with pytest.raises(ValueError, match="c must be unimodular"):
+        field.TrivialEquivalence("Identity", complex("nan+nanj"), 0.0)
+    assert field.TrivialEquivalence("Identity", 1j, 0.0).c == 1j
+
+
+_E3 = [0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda th: eval_field(random_field(3, 2, Z3, 1), 0.5, th),
+    lambda th: magnitude_sq(random_field(3, 2, Z3, 1), 0.5, th),
+    lambda th: harmonics.basis_eval(Z3, 1, 1, th),
+    lambda th: harmonics.zonal_eval(2, 3, _E3, th),
+    lambda th: harmonics.zonal_eval(2, 3, th, _E3),
+], ids=["eval_field", "magnitude_sq", "basis_eval", "zonal_eval-theta", "zonal_eval-zeta"])
+def test_a_nan_direction_is_not_a_unit_vector(call):
+    # |nan| - 1 > tol is False, so these once returned nan
+    call(np.array(_E3))
+    with pytest.raises(ValueError, match="must be a unit vector"):
+        call(np.array([np.nan, 0.0, 0.0]))
+
+
 def test_pole_table_check_does_not_depend_on_call_order():
     # the same coefficients in the default basis and in one whose degree-2
     # poles run in reverse: different fields, whether or not the default
@@ -616,8 +640,12 @@ def test_array_holding_dataclasses_compare_by_identity():
     g = sample_magnitude(random_field(2, 1, F2, seed=1), radial_grid(4), 5)
     h = sample_magnitude(random_field(2, 1, F2, seed=1), radial_grid(4), 5)
     p, q = angular_decompose(g, 2)[0], angular_decompose(h, 2)[0]
-    for x, y in ((a, b), (u, v), (g, h), (p, q)):
+    s = sphere_grid(2, 8)
+    t = harmonics.SphereGrid(2, s.nodes.copy(), s.weights.copy(), angles=s.angles.copy())
+    for x, y in ((a, b), (u, v), (g, h), (p, q), (s, t)):
         assert x == x and x != y
+    # frozen, a grid hashes (by identity) and can key a table
+    assert {s: 1, t: 2}[s] == 1
 
 
 def test_magnitude_data_refuses_a_table_that_does_not_fit_its_degree_and_grid():
@@ -702,16 +730,15 @@ def test_no_comparison_or_retrieval_writes_to_a_fields_coefficients(u):
 
 
 def test_the_d2_tables_follow_angles_changed_in_place():
-    _real_basis_values = retrieve._real_basis_values
     std = sphere_grid(2, 13)
     grid = harmonics.SphereGrid(2, std.nodes, std.weights, angles=np.array(std.angles))
     table = magnitude_coeffs(random_field(2, 3, F2, 1)).table
-    _real_basis_values(F2, 2, grid)
+    F2.real_values(2, grid)
     field.MagnitudeData(2, grid, table)
     grid.angles[:] += 0.25
     fresh = harmonics.SphereGrid(2, grid.nodes, grid.weights, angles=grid.angles.copy())
-    assert np.array_equal(_real_basis_values(F2, 2, grid), _real_basis_values(F2, 2, fresh))
-    assert np.array_equal(_real_basis_values(F2, 2, grid)[:, 0], np.cos(2 * grid.angles))
+    assert np.array_equal(F2.real_values(2, grid), F2.real_values(2, fresh))
+    assert np.array_equal(F2.real_values(2, grid)[:, 0], np.cos(2 * grid.angles))
     shifted = field.MagnitudeData(2, grid, table).pair_samples(1, 2)
     assert np.array_equal(shifted, field.MagnitudeData(2, fresh, table).pair_samples(1, 2))
     assert not np.array_equal(shifted, field.MagnitudeData(2, std, table).pair_samples(1, 2))
@@ -729,7 +756,7 @@ def test_cold_tables_empties_every_per_grid_table():
         "harmonics._array_key": lambda: len(harmonics._ARRAY_KEYS),
         "field._synthesis_plan": lambda: field._synthesis_plan.cache_info().currsize,
         "field._mirror_index": lambda: field._mirror_index.cache_info().currsize,
-        "retrieve._trig_table": lambda: retrieve._trig_table.cache_info().currsize,
+        "harmonics._trig_table": lambda: harmonics._trig_table.cache_info().currsize,
     }
     assert all(size() for size in tables.values())
     for info in pkgutil.iter_modules(herglotz.__path__):

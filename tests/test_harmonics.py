@@ -1,10 +1,12 @@
+import ast
+import inspect
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from herglotz import harmonics, specfun
+from herglotz import extract, field, harmonics, retrieve, specfun
 from herglotz.harmonics import (
     _TABLE_SIZE,
     POLE_MAX_ATTEMPTS,
@@ -385,6 +387,43 @@ def test_basis_eval_fourier():
     assert basis_eval(spec, 3, 2, th) == pytest.approx(np.exp(-3j * ang))
     with pytest.raises(IndexError):
         basis_eval(spec, 2, 3, th)
+    # an array of points gives one value per point
+    grid = sphere_grid(2, 7)
+    assert np.allclose(basis_eval(spec, 3, 2, grid.nodes), np.exp(-3j * grid.angles),
+                       rtol=0, atol=1e-14)
+
+
+def test_fourier2d_gram_is_the_identity():
+    # the Gram matrix of e^{+-imt} / sqrt(2 pi), so fourier2d's degree power
+    # is the plain sum of squares of the coefficients
+    spec, grid = fourier2d_basis(), sphere_grid(2, 16)
+    for m in range(4):
+        F = spec.values(m, grid.nodes)
+        quad = np.conj(F).T @ (F * grid.weights[:, None])
+        assert np.array_equal(spec.gram(m), np.eye(harmonic_dim(2, m)))
+        assert np.allclose(quad, 2 * np.pi * spec.gram(m), rtol=0, atol=1e-12)
+
+
+def _names_a_kind(node) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr == "kind" or node.attr in ("FOURIER2D", "ZONAL", "PALPHA", "KINDS")
+    if isinstance(node, ast.Name):
+        return node.id in ("FOURIER2D", "ZONAL", "PALPHA", "KINDS")
+    return isinstance(node, ast.Constant) and node.value in harmonics.KINDS
+
+
+def test_only_basis_spec_compares_basis_kinds():
+    # conjugation, real coordinates, power and sameness are BasisSpec methods;
+    # the one kind test left outside harmonics is random_field's refusal of a
+    # zonal field in another basis
+    found = []
+    for module in (field, retrieve, extract):
+        for top in ast.parse(inspect.getsource(module)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Compare) and any(
+                        map(_names_a_kind, [node.left, *node.comparators])):
+                    found.append(f"{module.__name__}.{getattr(top, 'name', '<module>')}")
+    assert found == ["herglotz.field.random_field"]
 
 
 def test_basis_eval_zonal_and_palpha():
