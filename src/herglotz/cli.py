@@ -105,13 +105,24 @@ def _extract(grid, max_degree):
     return data, reports
 
 
+def _basis(dim, flag, fixed=None):
+    """The basis of d-dimensional data: the file's own (fixed), else fourier2d
+    for d = 2, else --basis (flag) or zonal. A --basis that disagrees with a
+    basis so fixed raises ValueError rather than being dropped."""
+    if fixed is None and dim == 2:
+        fixed = harmonics.fourier2d_basis()
+    if fixed is None:
+        return BasisSpec(flag or _default_basis_kind(dim), dim)
+    if flag not in (None, fixed.kind):
+        raise ValueError(f"--basis {flag} does not apply: the basis in force is {fixed.kind}")
+    return fixed
+
+
 def cmd_extract(args) -> int:
     grid = fileio.read_grid(args.grid)
+    basis = _basis(grid.dim, args.basis)
     data, reports = _extract(grid, args.max_degree)
-    basis = None
-    if grid.dim >= 3:
-        basis = BasisSpec(args.basis or _default_basis_kind(grid.dim), grid.dim)
-    fileio.write_data(args.out, data, basis)
+    fileio.write_data(args.out, data, basis if grid.dim >= 3 else None)
     worst = max((rep.residual for rep in reports), default=0.0)
     cond = max((rep.condition for rep in reports), default=1.0)
     print(
@@ -121,19 +132,20 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _load_data_or_grid(path, max_degree):
+def _load_data_or_grid(path, max_degree, flag):
+    """(MagnitudeData, BasisSpec) of a data file or of a grid's extraction; see _basis."""
     with open(path, encoding="utf-8") as fh:
         head = fh.readline().strip()
     if head == fileio.DATA_MAGIC:
-        return fileio.read_data(path)
-    return _extract(fileio.read_grid(path), max_degree)[0], None
+        data, basis = fileio.read_data(path)
+        return data, _basis(data.dim, flag, basis)
+    grid = fileio.read_grid(path)
+    basis = _basis(grid.dim, flag)
+    return _extract(grid, max_degree)[0], basis
 
 
 def cmd_retrieve(args) -> int:
-    data, basis = _load_data_or_grid(args.data, args.max_degree)
-    if basis is None:
-        basis = (harmonics.fourier2d_basis() if data.dim == 2
-                 else BasisSpec(args.basis or _default_basis_kind(data.dim), data.dim))
+    data, basis = _load_data_or_grid(args.data, args.max_degree, args.basis)
     solvers = {"mean": retrieve_3d_mean, "sparse": retrieve_3d_sparse, "real": retrieve_real_data}
     if args.branch != "auto":
         result = solvers[args.branch](data, basis, accept_tol=args.tol)

@@ -1,4 +1,4 @@
-"""Herglotz wave fields on the unit ball.
+"""Herglotz wave fields on a ball of any radius.
 
 A field is a K-finite solution of Delta u + u = 0, stored through its
 spherical-harmonic coefficient table:
@@ -11,7 +11,6 @@ data of a field is the family of real functions Re c_{m,n} determined by
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -25,7 +24,6 @@ from .harmonics import (BasisSpec, SphereGrid, _array_key, harmonic_dim, sphere_
 from .specfun import (_ROW_TABLE_SIZE, _raw, _read_only, _round, _signed, bessel_j,
                       bessel_j_mp, bessel_row)
 
-WORKING_RADIUS = 1.0
 COEFF_TOL = 1e-9  # exact-coefficient comparisons
 GRID_TOL = 1e-6  # sampled-grid comparisons
 
@@ -148,15 +146,13 @@ def eval_field_grid(u: HerglotzField, radii, theta) -> np.ndarray:
 
     Returns an array of shape (len(radii), len(theta)). Radii may include 0,
     where the m = 0 limit is used, and come in any order; an inf or nan radius
-    raises ValueError.
+    raises ValueError, as does one beyond bessel_j's range (J_0: r > 26.65).
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     _refuse_non_finite(radii)
     if np.any(radii < 0):
         raise ValueError("radii must be nonnegative")
-    if np.any(radii > WORKING_RADIUS + 1e-12):
-        warnings.warn("evaluating beyond the working ball radius", stacklevel=2)
     d = u.dim
     out = np.zeros((len(radii), len(theta)), dtype=complex)
     pos = radii > 0
@@ -509,9 +505,9 @@ def trivially_equivalent(u: HerglotzField, v: HerglotzField, tol: float = COEFF_
 
 
 def degree_power(u: HerglotzField, m: int) -> float:
-    """sum_k |a_{m,k}|^2 in orthonormal coordinates, the L^2(S^{d-1}) norm
-    squared of u's degree-m angular part: the plain sum of squares for
-    fourier2d, a* G a through the degree-m Gram matrix for the real bases."""
+    """BasisSpec.power of u's degree-m angular part f_m: ||f_m||^2 in L^2(S^{d-1})
+    for the real bases, ||f_m||^2_{L^2(S^1)} / (2 pi) for fourier2d (the sum of
+    squares). Powers compare within one basis, not between d = 2 and d >= 3."""
     if m > u.max_degree:
         return 0.0
     return u.basis.power(m, u.coeffs[m])

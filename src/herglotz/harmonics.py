@@ -376,8 +376,8 @@ class BasisSpec:
         return _value_table(self.kind, self.dim, m, key, theta.shape, _array_key(theta))
 
     def gram(self, m: int) -> np.ndarray:
-        """L^2(S^{d-1}) Gram matrix of the degree-m basis functions: the
-        identity for fourier2d, a quadrature for the real bases."""
+        """Gram matrix of the degree-m basis functions: the L^2(S^{d-1}) one by quadrature
+        for the real bases; for fourier2d the identity, the L^2(S^1) Gram over 2 pi."""
         if self.kind == FOURIER2D:
             return np.eye(harmonic_dim(2, m))
         grid = sphere_grid(self.dim, max(2 * m + 4, 8))
@@ -385,7 +385,7 @@ class BasisSpec:
         return F.T @ (F * grid.weights[:, None])
 
     def power(self, m: int, vec) -> float:
-        """a* gram(m) a for degree-m coefficients a = vec: a sum of squares for fourier2d."""
+        """a* gram(m) a for a = vec: ||sum_j a_j Y_j||^2 in L^2, over 2 pi for fourier2d."""
         if self.kind == FOURIER2D:
             return float(np.sum(np.abs(vec) ** 2))
         return float((np.conj(vec) @ self.gram(m) @ vec).real)

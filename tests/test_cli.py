@@ -491,6 +491,10 @@ _BROADCAST = "could not broadcast input array from shape (4,) into shape (3,)"
                  "line 10: malformed 'coeff' record: non-finite number 'nan'", id="coeff-nan"),
     pytest.param(7, "pole 1 1 0 0 inf",
                  "line 7: malformed 'pole' record: non-finite number 'inf'", id="pole-inf"),
+    pytest.param(4, "basis fourier2d", "line 4: fourier2d basis requires d = 2, got d = 3",
+                 id="basis-dim"),
+    pytest.param(10, "coeff 2 1 0 0", "line 10: coefficient degree 2 out of range",
+                 id="coeff-degree-high"),
 ])
 def test_field_reader_errors(lineno, new, message):
     with pytest.raises(FileFormatError) as exc:
@@ -852,3 +856,89 @@ def test_retrieve_tol_judges_the_all_zero_branch(tmp_path, capsys):
     assert not (tmp_path / "r.field").exists()
     assert run(["retrieve", d, "--out", out]) == 0
     assert "branch=zero" in capsys.readouterr().out.splitlines()
+
+
+def test_atomic_write_keeps_the_old_file_when_the_rename_fails(tmp_path, monkeypatch):
+    target = tmp_path / "u.field"
+    target.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(fileio.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        fileio.atomic_write(str(target), "new\n")
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["u.field"]  # no .tmp-herglotz-* left
+
+
+def _grid_and_data(tmp_path, dim):
+    """The grid file of a d = 2 or d = 3 zonal field and the data file extract writes."""
+    if dim == 2:
+        u, angular = random_field(2, 3, fourier2d_basis(), seed=7), 17
+    else:
+        u, angular = random_field(3, 4, BasisSpec("zonal", 3), seed=0, zonal=True), 12
+    files = {"grid": tmp_path / "u.grid", "data": tmp_path / "u.data"}
+    fileio.write_grid(str(files["grid"]), sample_magnitude(u, radial_grid(48), angular))
+    assert run(["extract", str(files["grid"]), "--out", str(files["data"])]) == 0
+    return files
+
+
+# a d = 2 file is read in the fourier2d basis and a data file in its own basis:
+# a --basis that names another kind was once dropped with exit 0
+@pytest.mark.parametrize("command, dim, source, flag, kind", [
+    ("extract", 2, "grid", "palpha", "fourier2d"),
+    ("extract", 2, "grid", "zonal", "fourier2d"),
+    ("retrieve", 2, "grid", "palpha", "fourier2d"),
+    ("retrieve", 2, "data", "zonal", "fourier2d"),
+    ("retrieve", 3, "data", "palpha", "zonal"),
+])
+def test_a_basis_flag_that_decides_nothing_is_refused(tmp_path, capsys, command, dim, source,
+                                                      flag, kind):
+    files = _grid_and_data(tmp_path, dim)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([command, str(files[source]), "--basis", flag, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --basis {flag} does not apply: the basis in force is {kind}\n")
+    assert not out.exists()
+
+
+def test_a_basis_flag_that_agrees_or_decides_is_kept(tmp_path, capsys):
+    files = _grid_and_data(tmp_path, 3)
+    a, b, c = tmp_path / "a.field", tmp_path / "b.field", tmp_path / "c.field"
+    assert run(["retrieve", str(files["data"]), "--out", str(a)]) == 0
+    assert run(["retrieve", str(files["data"]), "--basis", "zonal", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    # a d = 3 grid file, and a d = 3 data file without a basis block, name no
+    # basis: there --basis decides
+    p = tmp_path / "p.data"
+    assert run(["extract", str(files["grid"]), "--basis", "palpha", "--out", str(p)]) == 0
+    assert fileio.read_data(str(p))[1].kind == "palpha"
+    bare = tmp_path / "bare.data"
+    fileio.write_data(str(bare), fileio.read_data(str(files["data"]))[0])
+    assert run(["retrieve", str(bare), "--basis", "palpha", "--out", str(c)]) == 0
+    assert fileio.read_field(str(c)).basis.kind == "palpha"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("dim, M", [(2, 6), (3, 8)], ids=["d2-M6", "d3-zonal-M8"])
+def test_pipeline_on_a_ball_of_radius_6(tmp_path, capsys, dim, M, seed):
+    # grid files sampled at eta = 6 need no new flag: extract reads the ball
+    # radius from the grid's radii and estimates the degree (at eta = 1 these
+    # fields are refused)
+    basis = fourier2d_basis() if dim == 2 else BasisSpec("zonal", 3)
+    u = random_field(dim, M, basis, seed, zonal=dim == 3)
+    f, g, d, v = (tmp_path / n for n in ("u.field", "u.grid", "u.data", "v.field"))
+    fileio.write_field(str(f), u)
+    angular = 4 * M + 5 if dim == 2 else 2 * M + 4
+    fileio.write_grid(str(g), sample_magnitude(u, radial_grid(48, 6.0), angular))
+    assert run(["extract", str(g), "--out", str(d)]) == 0
+    assert f"max_degree={M}\n" in capsys.readouterr().out
+    assert run(["retrieve", str(d), "--out", str(v)]) == 0
+    capsys.readouterr()
+    assert run(["verify", str(f), str(v)]) == 0
+    out = capsys.readouterr().out
+    assert "equal_magnitude=true" in out
+    assert "equivalence=Identity\n" in out or "equivalence=Conjugate\n" in out

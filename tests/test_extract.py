@@ -57,6 +57,12 @@ def test_radial_grid_properties():
     assert r[0] > 0.05 - 1e-12 and r[-1] <= 1.0
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_radial_grid_refuses_a_count_below_one(count):
+    with pytest.raises(ValueError, match="need at least one radial node"):
+        radial_grid(count)
+
+
 def test_angular_decompose_constant_data():
     radii = radial_grid(12)
     grid = sphere_grid(2, 8)
@@ -176,6 +182,15 @@ def test_angular_decompose_rejects_nonuniform():
     )
     with pytest.raises(ValueError, match="uniform"):
         angular_decompose(MagnitudeGrid(2, radii, grid, np.ones((6, 6))), 2)
+
+
+def test_angular_decompose_d3_needs_the_polar_product_grid():
+    # the nodes and weights of sphere_grid(3, 4) without its polar factor
+    full = sphere_grid(3, 4)
+    bare = SphereGrid(3, full.nodes, full.weights)
+    g = MagnitudeGrid(3, radial_grid(4), bare, np.ones((4, len(bare))))
+    with pytest.raises(ValueError, match="d=3 extraction requires the polar product grid"):
+        angular_decompose(g, 3)
 
 
 def test_radial_unmix_zero_profile():
@@ -899,3 +914,9 @@ def test_radial_unmix_refuses_a_dimension_other_than_the_profiles(method):
     g = sample_magnitude(random_field(2, 3, F2, seed=1), radial_grid(32), 17)
     with pytest.raises(ValueError, match="profile is for d = 2, got d = 3"):
         radial_unmix(angular_decompose(g, 2)[0], 3, 3, method)
+
+
+def test_radial_unmix_refuses_an_unknown_method():
+    g = sample_magnitude(random_field(2, 3, F2, seed=1), radial_grid(32), 17)
+    with pytest.raises(ValueError, match="unknown unmixing method 'qr'"):
+        radial_unmix(angular_decompose(g, 2)[0], 3, 2, method="qr")

@@ -96,10 +96,13 @@ def test_point_wise_evaluation_leaves_the_value_table_bounded():
     assert np.array_equal(magnitude_coeffs(u).table, data.table)
 
 
-def test_eval_warns_beyond_working_radius():
+def test_eval_beyond_the_double_series_range_raises():
+    # any ball radius evaluates without a warning; where the double Bessel
+    # series cancels too far (J_0 beyond r = 26.65) bessel_j's refusal passes on
     u = random_field(2, 2, F2, seed=0)
-    with pytest.warns(UserWarning):
-        eval_field(u, 1.5, _unit(0.1))
+    assert eval_field(u, 1.5, _unit(0.1)) == eval_field_grid(u, [1.5], [_unit(0.1)])[0, 0]
+    with pytest.raises(ValueError, match=r"J_0\(30\) is out of range of the double series"):
+        eval_field_grid(u, [1.0, 30.0], sphere_grid(2, 9).nodes)
 
 
 def test_magnitude_single_mode():

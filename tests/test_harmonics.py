@@ -334,6 +334,18 @@ def _per_pole_default_poles(d, m):
     return best[1]
 
 
+def test_default_poles_falls_back_to_the_best_full_rank_candidate():
+    # no candidate for d = 4, m = 7 clears POLE_MIN_SV (the best scores 6.5e-4);
+    # a table scoring below it comes only from the fallback, which keeps full rank
+    poles = default_poles(4, 7)
+    grid = sphere_grid(4, 15)
+    cols = gegenbauer(7, 1.0, grid.nodes @ poles.T)
+    r1, s1 = gram_rank(list(cols.T), grid)
+    r2, s2 = gram_rank(list((cols**2).T), grid)
+    assert r1 == r2 == harmonic_dim(4, 7) == 64
+    assert 0 < min(s1, s2) <= POLE_MIN_SV
+
+
 @pytest.mark.parametrize("d, m", [(3, m) for m in range(11)] + [(4, m) for m in range(7)])
 def test_one_recurrence_per_degree_matches_a_per_pole_loop(d, m):
     poles = default_poles(d, m)
